@@ -31,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,8 +243,38 @@ type benchStreaming struct {
 	StreamShare         float64 `json:"stream_share"`
 }
 
+// benchMachine names the machine a baseline was measured on, so numbers
+// from different machines are never compared by accident.
+type benchMachine struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisMachine stamps the running machine. CPU is the first "model name" in
+// /proc/cpuinfo, or "unknown" where that file does not exist.
+func thisMachine() benchMachine {
+	m := benchMachine{
+		CPU:        "unknown",
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return m
+}
+
 type benchFile struct {
 	Schema     string          `json:"schema"`
+	Machine    benchMachine    `json:"machine"`
 	CorpusSeed int64           `json:"corpus_seed"`
 	CFiles     int             `json:"cfiles"`
 	Headers    int             `json:"headers"`
@@ -273,6 +304,7 @@ func runBenchJSON(c *corpus.Corpus, kill int, path, storeDir string) error {
 	}
 	out := benchFile{
 		Schema:     "fmlrbench/bench-parse/v2",
+		Machine:    thisMachine(),
 		CorpusSeed: c.Params.Seed,
 		CFiles:     len(c.CFiles),
 		Headers:    c.Params.GenHeaders,

@@ -13,6 +13,8 @@
 package symtab
 
 import (
+	"maps"
+
 	"repro/internal/cond"
 )
 
@@ -22,9 +24,88 @@ type entry struct {
 	objectCond  cond.Cond // name denotes a value (object/function/enum constant)
 }
 
-// scope is one C language scope.
+// foldAt is the delta size past which Clone freezes a scope's delta into a
+// new layer, so a fork copies at most foldAt entries per scope.
+const foldAt = 16
+
+// layerRatio bounds the layer stack: a new layer is merged into the one
+// below it while it holds more than 1/layerRatio as many entries. Layer
+// sizes therefore grow geometrically downward, a scope with n names has
+// O(log n) layers, and each entry is recopied O(log n) times over its life.
+const layerRatio = 4
+
+// layer is a frozen map of entries. It is built once, by NewSeeded or a
+// fold, and never written afterwards, so any number of tables (and
+// goroutines) may share it. Scopes hold layers by pointer so that Merge can
+// recognise a shared one by pointer equality; maps are not comparable.
+type layer map[string]entry
+
+// scope is one C language scope: a stack of shared frozen layers, oldest
+// first, overlaid by a delta owned by this table. A name's entry is its
+// delta entry if present, else its entry in the newest layer that has one.
+// Writes go to the delta only. The layers slice is shared too, so it is
+// never appended to or written in place; a fold builds a new one.
 type scope struct {
-	names map[string]entry
+	layers []*layer
+	delta  map[string]entry // nil until the first write
+}
+
+func (sc *scope) get(name string) (entry, bool) {
+	if e, ok := sc.delta[name]; ok {
+		return e, true
+	}
+	for i := len(sc.layers) - 1; i >= 0; i-- {
+		if e, ok := (*sc.layers[i])[name]; ok {
+			return e, true
+		}
+	}
+	return entry{}, false
+}
+
+func (sc *scope) set(name string, e entry) {
+	if sc.delta == nil {
+		sc.delta = map[string]entry{}
+	}
+	sc.delta[name] = e
+}
+
+// fork returns a scope that shares sc's layers and owns a copy of its
+// delta. A delta past foldAt is first frozen into a new layer, which sc
+// adopts too, so sc and all its later forks share the fold.
+func (sc *scope) fork() scope {
+	if len(sc.delta) > foldAt {
+		top := layer(sc.delta)
+		n := len(sc.layers)
+		for n > 0 && len(top)*layerRatio > len(*sc.layers[n-1]) {
+			merged := make(layer, len(*sc.layers[n-1])+len(top))
+			maps.Copy(merged, *sc.layers[n-1])
+			maps.Copy(merged, top)
+			top, n = merged, n-1
+		}
+		sc.layers = append(sc.layers[:n:n], &top)
+		sc.delta = nil
+	}
+	return scope{layers: sc.layers, delta: maps.Clone(sc.delta)}
+}
+
+// visit calls f for every name in the layers from index k up and in the
+// delta. A name may be visited more than once.
+func (sc *scope) visit(k int, f func(name string)) {
+	for _, l := range sc.layers[k:] {
+		for name := range *l {
+			f(name)
+		}
+	}
+	for name := range sc.delta {
+		f(name)
+	}
+}
+
+// size returns the number of distinct names in the scope.
+func (sc *scope) size() int {
+	seen := map[string]bool{}
+	sc.visit(0, func(name string) { seen[name] = true })
+	return len(seen)
 }
 
 // FileDef is one file-scope definition event, recorded in program order when
@@ -56,7 +137,7 @@ type Table struct {
 
 // New returns a table with the file scope open.
 func New(s *cond.Space) *Table {
-	return &Table{space: s, scopes: []scope{{names: map[string]entry{}}}}
+	return &Table{space: s, scopes: []scope{{}}}
 }
 
 // NewSeeded returns a table whose file scope is pre-populated with typedef
@@ -65,11 +146,11 @@ func New(s *cond.Space) *Table {
 // a lexical prescan; only the typedef condition matters because with a single
 // open scope Classify never consults object conditions.
 func NewSeeded(s *cond.Space, seed map[string]cond.Cond) *Table {
-	t := New(s)
+	l := make(layer, len(seed))
 	for name, c := range seed {
-		t.scopes[0].names[name] = entry{typedefCond: c, objectCond: s.False()}
+		l[name] = entry{typedefCond: c, objectCond: s.False()}
 	}
-	return t
+	return &Table{space: s, scopes: []scope{{layers: []*layer{&l}}}}
 }
 
 // Track enables observation recording on this table (and, via the shared
@@ -98,22 +179,21 @@ func (t *Table) FileDefs() []FileDef {
 	return t.trk.defs
 }
 
-// Clone deep-copies the table (the forkContext callback).
+// Clone returns an independent copy of the table (the forkContext
+// callback). It copies only each scope's delta, at most foldAt entries; the
+// layers are shared. Folding may reorganize t's representation (never its
+// contents), so Clone must not run concurrently with other uses of t.
 func (t *Table) Clone() *Table {
 	nt := &Table{space: t.space, scopes: make([]scope, len(t.scopes)), trk: t.trk}
-	for i, sc := range t.scopes {
-		names := make(map[string]entry, len(sc.names))
-		for k, v := range sc.names {
-			names[k] = v
-		}
-		nt.scopes[i] = scope{names: names}
+	for i := range t.scopes {
+		nt.scopes[i] = t.scopes[i].fork()
 	}
 	return nt
 }
 
 // EnterScope opens a nested scope.
 func (t *Table) EnterScope() {
-	t.scopes = append(t.scopes, scope{names: map[string]entry{}})
+	t.scopes = append(t.scopes, scope{})
 }
 
 // ExitScope closes the innermost scope.
@@ -135,7 +215,7 @@ func (t *Table) DefineTypedef(name string, c cond.Cond) {
 		t.trk.defs = append(t.trk.defs, FileDef{Name: name, Cond: c, Typedef: true})
 	}
 	sc := t.top()
-	e := sc.names[name]
+	e, _ := sc.get(name)
 	if e.typedefCond == (cond.Cond{}) {
 		e.typedefCond = c
 	} else {
@@ -147,7 +227,7 @@ func (t *Table) DefineTypedef(name string, c cond.Cond) {
 		// A later typedef shadows an object declaration under c.
 		e.objectCond = t.space.AndNot(e.objectCond, c)
 	}
-	sc.names[name] = e
+	sc.set(name, e)
 }
 
 // DefineObject records that name denotes a value under c in the current
@@ -157,7 +237,7 @@ func (t *Table) DefineObject(name string, c cond.Cond) {
 		t.trk.defs = append(t.trk.defs, FileDef{Name: name, Cond: c, Typedef: false})
 	}
 	sc := t.top()
-	e := sc.names[name]
+	e, _ := sc.get(name)
 	if e.objectCond == (cond.Cond{}) {
 		e.objectCond = c
 	} else {
@@ -168,7 +248,7 @@ func (t *Table) DefineObject(name string, c cond.Cond) {
 	} else {
 		e.typedefCond = t.space.AndNot(e.typedefCond, c)
 	}
-	sc.names[name] = e
+	sc.set(name, e)
 }
 
 // Classification reports under which conditions a name denotes a type. The
@@ -188,7 +268,7 @@ func (t *Table) Classify(name string, c cond.Cond) Classification {
 	remaining := c
 	td := s.False()
 	for i := len(t.scopes) - 1; i >= 0 && !s.IsFalse(remaining); i-- {
-		e, ok := t.scopes[i].names[name]
+		e, ok := t.scopes[i].get(name)
 		if !ok {
 			continue
 		}
@@ -210,7 +290,7 @@ func (t *Table) Classify(name string, c cond.Cond) Classification {
 func (t *Table) Declared(name string) cond.Cond {
 	var c cond.Cond
 	for i := len(t.scopes) - 1; i >= 0; i-- {
-		e, ok := t.scopes[i].names[name]
+		e, ok := t.scopes[i].get(name)
 		if !ok {
 			continue
 		}
@@ -228,7 +308,7 @@ func (t *Table) Declared(name string) cond.Cond {
 // existing same-scope entry is a redefinition, whereas an outer-scope entry
 // is legal shadowing. ok is false when the scope has no entry for name.
 func (t *Table) CurrentScope(name string) (typedefCond, objectCond cond.Cond, ok bool) {
-	e, ok := t.top().names[name]
+	e, ok := t.top().get(name)
 	if !ok {
 		return cond.Cond{}, cond.Cond{}, false
 	}
@@ -243,26 +323,52 @@ func (t *Table) MayMerge(o *Table) bool {
 
 // Merge combines another table into this one: for each scope level, names'
 // conditions are disjoined. Both subparsers' registrations were made under
-// their own presence conditions, so a plain disjunction is sound.
+// their own presence conditions, so a plain disjunction is sound. The
+// result shares t's layers and owns fresh deltas; t and o are unchanged.
 func (t *Table) Merge(o *Table) *Table {
-	s := t.space
-	merged := t.Clone()
-	for i := range merged.scopes {
-		if i >= len(o.scopes) {
-			break
+	merged := &Table{space: t.space, scopes: make([]scope, len(t.scopes)), trk: t.trk}
+	for i := range t.scopes {
+		a := &t.scopes[i]
+		out := scope{layers: a.layers, delta: maps.Clone(a.delta)}
+		if i < len(o.scopes) {
+			mergeScope(t.space, &out, a, &o.scopes[i])
 		}
-		for name, oe := range o.scopes[i].names {
-			e, ok := merged.scopes[i].names[name]
-			if !ok {
-				merged.scopes[i].names[name] = oe
-				continue
-			}
-			e.typedefCond = orDefined(s, e.typedefCond, oe.typedefCond)
-			e.objectCond = orDefined(s, e.objectCond, oe.objectCond)
-			merged.scopes[i].names[name] = e
-		}
+		merged.scopes[i] = out
 	}
 	return merged
+}
+
+// mergeScope disjoins b's entries into out, which starts as a copy of a.
+// Layers that a and b share hold the same entries on both sides, so only
+// names above the longest shared prefix of layers can differ, and only
+// those are walked: for two clones of one table that is just the deltas
+// and any layers folded since. Each such name is ORed with whatever entry
+// the other side sees, even one it inherits from a shared layer: the
+// AndNot in DefineTypedef/DefineObject can narrow an entry below the one
+// it replaced, so a rewritten entry does not subsume the inherited one.
+func mergeScope(s *cond.Space, out, a, b *scope) {
+	k := 0
+	for k < len(a.layers) && k < len(b.layers) && a.layers[k] == b.layers[k] {
+		k++
+	}
+	merge := func(name string) {
+		eb, ok := b.get(name)
+		if !ok {
+			return
+		}
+		ea, ok := a.get(name)
+		switch {
+		case !ok:
+			out.set(name, eb)
+		case ea != eb:
+			out.set(name, entry{
+				typedefCond: orDefined(s, ea.typedefCond, eb.typedefCond),
+				objectCond:  orDefined(s, ea.objectCond, eb.objectCond),
+			})
+		}
+	}
+	a.visit(k, merge)
+	b.visit(k, merge)
 }
 
 func orDefined(s *cond.Space, a, b cond.Cond) cond.Cond {
@@ -279,4 +385,4 @@ func orDefined(s *cond.Space, a, b cond.Cond) cond.Cond {
 
 // Names returns the number of distinct names in the innermost scope (for
 // tests).
-func (t *Table) Names() int { return len(t.top().names) }
+func (t *Table) Names() int { return t.top().size() }
