@@ -5,9 +5,9 @@
 // which it holds plus a concrete witness configuration (re-verified on the
 // independent SAT representation).
 //
-// Units are processed on a worker pool (-j wide, GOMAXPROCS by default)
-// with per-file output buffered and flushed in argument order, so the
-// output is byte-identical regardless of -j.
+// Units run on the evaluation harness's worker pool (-j wide, GOMAXPROCS by
+// default) and their results are reported in argument order, so the output
+// is byte-identical regardless of -j.
 //
 // Usage:
 //
@@ -30,29 +30,19 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
-	"repro/internal/cgrammar"
 	"repro/internal/cond"
-	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/fmlr"
-	"repro/internal/guard"
-	"repro/internal/hcache"
+	"repro/internal/harness"
 	"repro/internal/link"
-	"repro/internal/preprocessor"
-	"repro/internal/store"
 )
 
 type stringList []string
@@ -71,17 +61,12 @@ func main() {
 	format := flag.String("format", "text", "output format: text, json, or sarif")
 	passNames := flag.String("passes", "", "comma-separated pass names (default: all)")
 	listPasses := flag.Bool("list", false, "list the available passes and exit")
-	jobs := flag.Int("j", 0, "worker-pool width when given multiple files (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per file; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	doLink := flag.Bool("link", false, "join every unit's conditional link facts corpus-wide and report cross-unit undef-ref/multidef/type-mismatch findings")
 	showStats := flag.Bool("stats", false, "print per-unit analysis statistics to stderr")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); falls back in-process if unreachable")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
-	limits := guard.FlagLimits(flag.CommandLine)
+	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
 	if *listPasses {
@@ -96,12 +81,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	cgrammar.DisableTableCache(*noCache)
-
-	condMode := cond.ModeBDD
-	if *mode == "sat" {
-		condMode = cond.ModeSAT
-	} else if *mode != "bdd" {
+	cfg := runConfig()
+	condMode, ok := cond.ModeByName(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "clint: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -137,132 +119,65 @@ func main() {
 		}
 		defs[name] = val
 	}
-
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-
-	cfg := core.Config{
-		IncludePaths: includes,
-		Defines:      defs,
-		CondMode:     condMode,
-		ParseWorkers: *parseWorkers,
-		NoStream:     !*streamTokens,
-	}
-	if !*noHeaderCache {
-		opts := hcache.Options{}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "clint:", err)
-				os.Exit(1)
-			}
-			opts.Backing = store.NewHeaderBacking(st, preprocessor.PayloadCodec())
+	if *storeDir != "" && !cfg.NoHeaderCache {
+		if _, err := harness.UseStore(*storeDir, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "clint:", err)
+			os.Exit(1)
 		}
-		cfg.HeaderCache = hcache.New(opts)
 	}
+	cfg.Mode = condMode
+	cfg.IncludePaths = includes
+	cfg.Defines = defs
+	cfg.Analyzers = selected
+	cfg.Link = *doLink
 
 	files := flag.Args()
-	results := make([]*analysis.Result, len(files))
-	facts := make([]*link.Facts, len(files))
-	errOuts := make([]bytes.Buffer, len(files))
-	var linkStats string
-
-	served := false
+	var units []daemon.LintUnit
+	var linked *daemon.LinkResponse
 	if *daemonAddr != "" {
-		err := lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
-			Files:        files,
-			IncludePaths: includes,
-			Defines:      defs,
-			Mode:         *mode,
-			Passes:       splitPasses(*passNames),
-			Jobs:         *jobs,
-			ParseWorkers: *parseWorkers,
-			Limits:       daemon.FromGuard(*limits),
-		}, results, errOuts)
-		if err == nil && *doLink {
-			linkStats, err = linkViaDaemon(*daemonAddr, *daemonOpts, daemon.LinkRequest{
-				Files:        files,
-				IncludePaths: includes,
-				Defines:      defs,
-				Mode:         *mode,
-				Jobs:         *jobs,
-				ParseWorkers: *parseWorkers,
-				Limits:       daemon.FromGuard(*limits),
-			}, results)
-			if err != nil {
-				// Start over in-process: partial daemon output would
-				// double-report the per-unit diagnostics.
-				results = make([]*analysis.Result, len(files))
-				errOuts = make([]bytes.Buffer, len(files))
-			}
-		}
+		var err error
+		units, linked, err = viaDaemon(*daemonAddr, *daemonOpts, files, *mode, splitPasses(*passNames), cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clint: %v; running in-process\n", err)
-		} else {
-			served = true
 		}
 	}
-	if !served {
-		nWorkers := *jobs
-		if nWorkers <= 0 {
-			nWorkers = runtime.GOMAXPROCS(0)
-		}
-		if nWorkers > len(files) {
-			nWorkers = len(files)
-		}
-		if nWorkers < 1 {
-			nWorkers = 1
-		}
-
-		// Each file gets its own tool — a fresh condition space and macro
-		// table — so units are independent and any worker can take any file.
-		// Results are indexed by argument position: the output is a pure
+	if units == nil {
+		// Each unit runs in its own tool on the harness's worker pool;
+		// results come back in argument order, so the output is a pure
 		// function of the inputs, not of scheduling.
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i], facts[i] = lintFile(cfg, files[i], selected, *limits, *doLink, &errOuts[i])
-				}
-			}()
+		results, m := harness.RunUnits(context.Background(), harness.Units{Files: files}, cfg)
+		units = make([]daemon.LintUnit, len(results))
+		for i := range results {
+			units[i] = daemon.LintUnitOf(&results[i])
 		}
-		for i := range files {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-
 		if *doLink {
-			// The corpus-wide join runs after the pool drains, over facts in
-			// argument order: the findings are a pure function of the inputs
-			// at any -j / -parse-workers.
-			var canon *hcache.Canon
-			if cfg.HeaderCache != nil {
-				canon = cfg.HeaderCache.Canon()
-			}
-			joined := make([]*link.Facts, 0, len(facts))
-			for _, f := range facts {
-				if f != nil {
-					joined = append(joined, f)
-				}
-			}
-			lr := link.Link(joined, canon)
-			mergeLinkDiags(results, files, lr.Findings)
-			linkStats = fmt.Sprintf("%d units, %d symbols, %d facts, %d findings",
-				lr.Stats.Units, lr.Stats.Symbols, lr.Stats.Facts, lr.Stats.Findings)
+			lr := daemon.LinkResponseOf(m.LinkResult)
+			linked = &lr
 		}
 	}
 
 	exit := 0
-	for i := range errOuts {
-		if errOuts[i].Len() > 0 {
-			io.Copy(os.Stderr, &errOuts[i])
+	results := make([]*analysis.Result, len(units))
+	for i, u := range units {
+		if u.Errors != "" {
+			fmt.Fprint(os.Stderr, u.Errors)
 			exit = 1
 		}
+		if u.Failed {
+			continue
+		}
+		r := &analysis.Result{File: u.File, Stats: u.Stats}
+		for _, d := range u.Diags {
+			r.Diags = append(r.Diags, d.ToAnalysis())
+		}
+		results[i] = r
+	}
+	if linked != nil {
+		findings := make([]link.Finding, len(linked.Findings))
+		for i, f := range linked.Findings {
+			findings[i] = f.ToLink()
+		}
+		mergeLinkDiags(results, files, findings)
 	}
 	total := 0
 	for _, r := range results {
@@ -302,8 +217,9 @@ func main() {
 				r.File, s.PassesRun, s.Diagnostics, byPassSummary(s.ByPass),
 				s.WitnessChecks, s.WitnessFailures, s.InfeasibleDropped, s.ErrorRegions)
 		}
-		if linkStats != "" {
-			fmt.Fprintf(os.Stderr, "clint: link: %s\n", linkStats)
+		if linked != nil {
+			fmt.Fprintf(os.Stderr, "clint: link: %d units, %d symbols, %d facts, %d findings\n",
+				linked.Units, linked.Symbols, linked.Facts, len(linked.Findings))
 		}
 	}
 	if total > 0 {
@@ -325,86 +241,46 @@ func splitPasses(s string) []string {
 	return parts
 }
 
-// lintViaDaemon serves the batch from a superd daemon. The daemon returns
-// structured diagnostics and the same error text lintFile would produce, so
-// the reassembled results render byte-identically to an in-process run.
-func lintViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LintRequest, results []*analysis.Result, errOuts []bytes.Buffer) error {
+// viaDaemon serves the batch from a superd daemon: the per-unit lint and,
+// with cfg.Link, the corpus-wide link join. The daemon renders units and
+// findings with the same functions as the in-process path, so the output
+// is byte-identical. On any error the whole batch reruns in-process:
+// partial daemon output would double-report the per-unit diagnostics.
+func viaDaemon(addr string, opts daemon.ClientOptions, files []string, mode string, passNames []string, cfg harness.RunConfig) ([]daemon.LintUnit, *daemon.LinkResponse, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	resp, err := client.Lint(&req)
+	limits := daemon.FromGuard(cfg.Budget)
+	resp, err := client.Lint(&daemon.LintRequest{
+		Files:        files,
+		IncludePaths: cfg.IncludePaths,
+		Defines:      cfg.Defines,
+		Mode:         mode,
+		Passes:       passNames,
+		Jobs:         cfg.Jobs,
+		ParseWorkers: cfg.ParseWorkers,
+		Limits:       limits,
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	for i, u := range resp.Units {
-		errOuts[i].WriteString(u.Errors)
-		if u.Failed {
-			continue // results[i] stays nil, as lintFile returns on failure
-		}
-		r := &analysis.Result{File: u.File, Stats: u.Stats}
-		for _, d := range u.Diags {
-			r.Diags = append(r.Diags, d.ToAnalysis())
-		}
-		results[i] = r
+	if !cfg.Link {
+		return resp.Units, nil, nil
 	}
-	return nil
-}
-
-// linkViaDaemon serves the corpus-wide link join from a superd daemon. The
-// daemon extracts (or replays store-cached) per-unit facts, joins them in
-// one space, and returns the findings as framework diagnostics in total
-// order — built through the same link.Finding renderer as the in-process
-// path, so the merged output is byte-identical.
-func linkViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LinkRequest, results []*analysis.Result) (string, error) {
-	client, err := daemon.DialOptions(addr, opts)
+	linked, err := client.Link(&daemon.LinkRequest{
+		Files:        files,
+		IncludePaths: cfg.IncludePaths,
+		Defines:      cfg.Defines,
+		Mode:         mode,
+		Jobs:         cfg.Jobs,
+		ParseWorkers: cfg.ParseWorkers,
+		Limits:       limits,
+	})
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
-	resp, err := client.Link(&req)
-	if err != nil {
-		return "", err
-	}
-	findings := make([]link.Finding, len(resp.Findings))
-	for i, f := range resp.Findings {
-		findings[i] = f.ToLink()
-	}
-	mergeLinkDiags(results, req.Files, findings)
-	stats := fmt.Sprintf("%d units, %d symbols, %d facts, %d findings",
-		resp.Units, resp.Symbols, resp.Facts, len(resp.Findings))
-	return stats, nil
-}
-
-// lintFile parses and analyzes one unit; a nil result is returned only when
-// the unit could not be processed at all (the error is on w). With doLink
-// the same parse also yields the unit's conditional link facts.
-func lintFile(cfg core.Config, file string, analyzers []*analysis.Analyzer, limits guard.Limits, doLink bool, w io.Writer) (*analysis.Result, *link.Facts) {
-	tool := core.New(cfg)
-	if !limits.Zero() {
-		tool.SetBudget(guard.New(context.Background(), limits))
-	}
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		fmt.Fprintf(w, "clint: %s: %v\n", file, err)
-		return nil, nil
-	}
-	for _, d := range res.Unit.Diags {
-		if !d.Warning {
-			fmt.Fprintf(w, "clint: %s\n", d)
-		}
-	}
-	unit := &analysis.Unit{
-		File:   file,
-		Space:  tool.Space(),
-		AST:    res.AST,
-		PP:     res.Unit,
-		Budget: tool.Budget(),
-	}
-	var facts *link.Facts
-	if doLink {
-		facts = analysis.ExtractLinkFacts(unit)
-	}
-	return analysis.Run(unit, analyzers), facts
+	return resp.Units, linked, nil
 }
 
 // mergeLinkDiags folds corpus-level findings into the per-file results:

@@ -24,12 +24,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
-	"repro/internal/cgrammar"
 	"repro/internal/corpus"
 	"repro/internal/daemon"
-	"repro/internal/fmlr"
-	"repro/internal/guard"
 	"repro/internal/harness"
+	"repro/internal/link"
 )
 
 func main() {
@@ -37,11 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus seed")
 	cfiles := flag.Int("cfiles", 40, "number of compilation units")
 	headers := flag.Int("headers", 24, "number of generated headers")
-	jobs := flag.Int("j", 0, "worker-pool width for the Table 3 sweep (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	metrics := flag.Bool("metrics", false, "print the harness metrics snapshot after the Table 3 sweep")
 	analyze := flag.Bool("analyze", false, "run the variability analysis passes during the Table 3 sweep and print diagnostics")
 	doLink := flag.Bool("link", false, "extract conditional link facts during the Table 3 sweep and print cross-unit findings (runs in-process: the synthetic corpus is in-memory)")
@@ -51,19 +44,11 @@ func main() {
 	daemonAddr := flag.String("daemon", "", "serve the Table 3 sweep from a superd daemon at this address; falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
-	limits := guard.FlagLimits(flag.CommandLine)
+	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
-	cgrammar.DisableTableCache(*noCache)
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-	harness.DefaultJobs = *jobs
-	harness.DefaultParseWorkers = *parseWorkers
-	harness.DisableHeaderCache = *noHeaderCache
-	harness.DisableStreaming = !*streamTokens
-	harness.DefaultBudget = *limits
-	harness.DefaultQuarantine = *quarantine
+	base := runConfig()
+	base.Quarantine = *quarantine
 	if *storeDir != "" {
 		if _, err := harness.UseStore(*storeDir, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "cstats:", err)
@@ -109,65 +94,69 @@ func main() {
 		fmt.Println(harness.Table2b(c))
 	}
 	if *table == "all" || *table == "3" {
+		cfg := base
+		cfg.Link = *doLink
+		if *analyze {
+			cfg.Analyzers = passes.All()
+		}
+		var results []harness.UnitResult
+		var metricsText string
 		if *daemonAddr != "" && *doLink {
 			// The corpus link join happens over the in-memory synthetic
 			// corpus, which the daemon cannot see; the sweep stays local.
 			fmt.Fprintln(os.Stderr, "cstats: -link runs in-process; ignoring -daemon for this sweep")
 		} else if *daemonAddr != "" {
-			if err := table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, *analyze, *jobs, *parseWorkers, *limits, *metrics); err == nil {
-				return
-			} else {
+			var err error
+			if results, metricsText, err = table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "cstats: %v; running in-process\n", err)
 			}
 		}
-		cfg := harness.RunConfig{Parser: fmlr.OptAll, Link: *doLink}
-		if *analyze {
-			cfg.Analyzers = passes.All()
+		var linked *link.Result
+		if results == nil {
+			var m harness.Metrics
+			results, m = harness.RunMetered(context.Background(), c, cfg)
+			linked, metricsText = m.LinkResult, m.String()
 		}
-		results, m := harness.RunMetered(context.Background(), c, cfg)
 		fmt.Println(harness.Table3(results))
-		if *analyze {
-			// Results are indexed by corpus position, and each unit's
-			// diagnostics are sorted by the driver, so this listing is
-			// deterministic regardless of -j.
-			for _, r := range results {
-				if r.Analysis == nil {
-					continue
-				}
+		// Results are indexed by corpus position, each unit's diagnostics are
+		// sorted by the driver, and link findings arrive in the linker's
+		// total order, so these listings are byte-stable at any -j /
+		// -parse-workers.
+		for _, r := range results {
+			if r.Analysis != nil {
 				for _, d := range r.Analysis.Diags {
-					pos := d.File
-					if d.Line > 0 {
-						pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-					}
-					fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
+					printDiag(d)
 				}
 			}
 		}
-		if *doLink && m.LinkResult != nil {
-			// Findings arrive in the linker's total deterministic order, so
-			// this listing is byte-stable at any -j / -parse-workers.
-			for _, f := range m.LinkResult.Findings {
-				d := analysis.LinkDiagnostic(f)
-				pos := d.File
-				if d.Line > 0 {
-					pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-				}
-				fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
+		if linked != nil {
+			for _, f := range linked.Findings {
+				printDiag(analysis.LinkDiagnostic(f))
 			}
 		}
 		if *metrics {
-			fmt.Print(m)
+			fmt.Print(metricsText)
 		}
 	}
 }
 
-// table3ViaDaemon runs the Table 3 sweep on a superd daemon and renders it
-// from the returned deterministic per-unit statistics — the same fields the
-// in-process path feeds harness.Table3, so the table is byte-identical.
-func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles, headers int, analyze bool, jobs, parseWorkers int, limits guard.Limits, metrics bool) error {
+// printDiag lists one diagnostic of the Table 3 sweep.
+func printDiag(d analysis.Diagnostic) {
+	pos := d.File
+	if d.Line > 0 {
+		pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
+	}
+	fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
+}
+
+// table3ViaDaemon runs the Table 3 sweep of cfg on a superd daemon and
+// rebuilds the deterministic per-unit statistics the in-process path feeds
+// harness.Table3, so the table is byte-identical. It also returns the
+// daemon's metrics summary.
+func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles, headers int, cfg harness.RunConfig) ([]harness.UnitResult, string, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	req := daemon.CorpusRequest{
 		Seed:         seed,
@@ -175,16 +164,16 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 		Headers:      headers,
 		Mode:         "bdd",
 		Opt:          "all",
-		Jobs:         jobs,
-		ParseWorkers: parseWorkers,
-		Limits:       daemon.FromGuard(limits),
+		Jobs:         cfg.Jobs,
+		ParseWorkers: cfg.ParseWorkers,
+		Limits:       daemon.FromGuard(cfg.Budget),
 	}
-	if analyze {
+	if len(cfg.Analyzers) > 0 {
 		req.Passes = []string{"all"}
 	}
 	resp, err := client.Corpus(&req)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	results := make([]harness.UnitResult, len(resp.Units))
 	for i, u := range resp.Units {
@@ -204,27 +193,10 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 			results[i].Analysis = r
 		}
 	}
-	fmt.Println(harness.Table3(results))
-	if analyze {
-		for i := range results {
-			if results[i].Analysis == nil {
-				continue
-			}
-			for _, d := range results[i].Analysis.Diags {
-				pos := d.File
-				if d.Line > 0 {
-					pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-				}
-				fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
-			}
-		}
-	}
-	if metrics {
-		fmt.Printf("daemon corpus metrics: %d units, %d served from facts, %d computed\n",
-			len(resp.Units), resp.FactsHits, resp.FactsMisses)
-		cm := client.Metrics()
-		fmt.Printf("daemon client: %d attempts, %d retries, %d sheds, %d breaker opens, %d fast fails, breaker %s\n",
-			cm.Attempts, cm.Retries, cm.Sheds, cm.BreakerOpens, cm.FastFails, cm.BreakerState)
-	}
-	return nil
+	cm := client.Metrics()
+	summary := fmt.Sprintf("daemon corpus metrics: %d units, %d served from facts, %d computed\n"+
+		"daemon client: %d attempts, %d retries, %d sheds, %d breaker opens, %d fast fails, breaker %s\n",
+		len(resp.Units), resp.FactsHits, resp.FactsMisses,
+		cm.Attempts, cm.Retries, cm.Sheds, cm.BreakerOpens, cm.FastFails, cm.BreakerState)
+	return results, summary, nil
 }

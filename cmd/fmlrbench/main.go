@@ -56,29 +56,16 @@ func main() {
 	headers := flag.Int("headers", 24, "number of generated headers")
 	kill := flag.Int("kill", 1000, "subparser kill switch for the MAPR rows")
 	points := flag.Int("points", 10, "CDF resolution")
-	jobs := flag.Int("j", 0, "worker-pool width for corpus runs (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	benchJSON := flag.String("bench-json", "", "skip the figures; benchmark the parse stage per optimization level and write the JSON baseline to this file")
 	storeDir := flag.String("store", "", "artifact store directory for the -bench-json warm-run measurement (empty: a throwaway temp dir)")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
-	limits := guard.FlagLimits(flag.CommandLine)
+	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
-	cgrammar.DisableTableCache(*noCache)
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-	harness.DefaultJobs = *jobs
-	harness.DefaultParseWorkers = *parseWorkers
-	harness.DisableHeaderCache = *noHeaderCache
-	harness.DisableStreaming = !*streamTokens
-	harness.DefaultBudget = *limits
-	harness.DefaultQuarantine = *quarantine
+	base := runConfig()
+	base.Quarantine = *quarantine
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -112,7 +99,7 @@ func main() {
 	c := corpus.Generate(corpus.Params{Seed: *seed, CFiles: *cfiles, GenHeaders: *headers})
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(c, *kill, *benchJSON, *storeDir); err != nil {
+		if err := runBenchJSON(c, base, *kill, *benchJSON, *storeDir); err != nil {
 			fmt.Fprintln(os.Stderr, "bench-json:", err)
 			os.Exit(1)
 		}
@@ -120,11 +107,11 @@ func main() {
 	}
 
 	if *fig == "all" || *fig == "8a" {
-		rows := harness.Figure8(c, *kill)
+		rows := harness.Figure8(c, base, *kill)
 		fmt.Println(harness.RenderFigure8a(rows, *kill))
 	}
 	if *fig == "all" || *fig == "8b" {
-		fmt.Println(harness.Figure8b(c, *kill, *points))
+		fmt.Println(harness.Figure8b(c, base, *kill, *points))
 	}
 	if *fig == "all" || *fig == "9" {
 		// The SAT-backed baseline's tail units take minutes each (the knee
@@ -134,19 +121,19 @@ func main() {
 		if len(c.CFiles) > 12 {
 			c9 = &corpus.Corpus{Params: c.Params, FS: c.FS, CFiles: c.CFiles[:12], Headers: c.Headers}
 		}
-		fmt.Println(harness.RenderFigure9(harness.Figure9(c9), *points))
+		fmt.Println(harness.RenderFigure9(harness.Figure9(c9, base), *points))
 	}
 	if *fig == "all" || *fig == "10" {
-		fmt.Println(harness.Figure10(c))
+		fmt.Println(harness.Figure10(c, base))
 	}
 	if *fig == "all" || *fig == "gcc" {
-		fmt.Println(harness.RenderGcc(c))
+		fmt.Println(harness.RenderGcc(c, base))
 	}
 
 	// One instrumented sweep for the per-stage observability snapshot
 	// (units in flight, stage wall time, forks/merges, BDD nodes, table
 	// cache hit/miss, hot-path cache effectiveness).
-	_, m := harness.RunMetered(context.Background(), c, harness.RunConfig{Parser: fmlr.OptAll})
+	_, m := harness.RunMetered(context.Background(), c, base)
 	fmt.Print(m)
 }
 
@@ -291,7 +278,7 @@ type benchFile struct {
 // writes the machine-readable baseline. Preprocessing runs once, outside
 // the measurement; each level then re-parses the prepared segments under
 // testing.Benchmark for calibrated ns/op and allocs/op.
-func runBenchJSON(c *corpus.Corpus, kill int, path, storeDir string) error {
+func runBenchJSON(c *corpus.Corpus, base harness.RunConfig, kill int, path, storeDir string) error {
 	lang := cgrammar.MustLoad()
 	tool := core.New(core.Config{FS: c.FS, IncludePaths: harness.IncludePaths})
 	units := make([]*preprocessor.Unit, 0, len(c.CFiles))
@@ -417,11 +404,10 @@ func runBenchJSON(c *corpus.Corpus, kill int, path, storeDir string) error {
 	// (budget trips, retries, quarantine), under whatever -timeout/-budget-*
 	// limits and -quarantine setting the invocation carries, plus the
 	// analysis counters (the passes run over every unit in this sweep).
-	_, m := harness.RunMetered(context.Background(), c, harness.RunConfig{
-		Parser:     fmlr.OptAll,
-		KillSwitch: kill,
-		Analyzers:  passes.All(),
-	})
+	governed := base
+	governed.Parser.KillSwitch = kill
+	governed.Analyzers = passes.All()
+	_, m := harness.RunMetered(context.Background(), c, governed)
 	out.Robustness = benchRobustness{
 		BudgetTrips:      m.BudgetTrips,
 		RetriedUnits:     m.RetriedUnits,
@@ -457,7 +443,7 @@ func runBenchJSON(c *corpus.Corpus, kill int, path, storeDir string) error {
 	fmt.Printf("analysis: %d passes, %d diagnostics, %d witness checks (%d failed)\n",
 		m.AnalysisPasses, m.AnalysisDiags, m.WitnessChecks, m.WitnessFailures)
 
-	st, err := benchStoreSweep(c, kill, storeDir)
+	st, err := benchStoreSweep(c, base, kill, storeDir)
 	if err != nil {
 		return err
 	}
@@ -520,7 +506,7 @@ func runBenchParallel(lang *cgrammar.C) (benchParallel, error) {
 // simulating a process restart — replays them from disk. An empty dir uses
 // a throwaway temp directory so the measurement never pollutes a real
 // store.
-func benchStoreSweep(c *corpus.Corpus, kill int, dir string) (benchStore, error) {
+func benchStoreSweep(c *corpus.Corpus, base harness.RunConfig, kill int, dir string) (benchStore, error) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "fmlrbench-store-")
 		if err != nil {
@@ -537,12 +523,11 @@ func benchStoreSweep(c *corpus.Corpus, kill int, dir string) (benchStore, error)
 		hc := hcache.New(hcache.Options{
 			Backing: store.NewHeaderBacking(st, preprocessor.PayloadCodec()),
 		})
+		cfg := base
+		cfg.Parser.KillSwitch = kill
+		cfg.HeaderCache = hc
 		start := time.Now()
-		harness.RunMetered(context.Background(), c, harness.RunConfig{
-			Parser:      fmlr.OptAll,
-			KillSwitch:  kill,
-			HeaderCache: hc,
-		})
+		harness.RunMetered(context.Background(), c, cfg)
 		return time.Since(start)
 	}
 	before := st.Stats()

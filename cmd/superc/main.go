@@ -44,6 +44,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/fmlr"
 	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/hcache"
 	"repro/internal/preprocessor"
 	"repro/internal/printer"
@@ -59,26 +60,6 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-func optionsByName(name string) (fmlr.Options, bool) {
-	switch name {
-	case "", "all":
-		return fmlr.OptAll, true
-	case "sharedlazy":
-		return fmlr.OptSharedLazy, true
-	case "shared":
-		return fmlr.OptShared, true
-	case "lazy":
-		return fmlr.OptLazy, true
-	case "follow":
-		return fmlr.OptFollowOnly, true
-	case "mapr":
-		return fmlr.OptMAPR, true
-	case "mapr-largest":
-		return fmlr.OptMAPRLargest, true
-	}
-	return fmlr.Options{}, false
-}
-
 func main() {
 	var includes, defines stringList
 	flag.Var(&includes, "I", "include search path (repeatable)")
@@ -92,15 +73,10 @@ func main() {
 	check := flag.Bool("check", false, "run configuration-preserving analyses (conflicting definitions, coverage)")
 	printSrc := flag.Bool("print", false, "print the preprocessed unit as conditional C source")
 	rename := flag.String("rename", "", "configuration-preserving rename: OLD=NEW")
-	jobs := flag.Int("j", 0, "worker-pool width when given multiple files (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per file; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); summary mode only, falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
-	limits := guard.FlagLimits(flag.CommandLine)
+	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() < 1 {
@@ -109,16 +85,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	cgrammar.DisableTableCache(*noCache)
-
-	condMode := cond.ModeBDD
-	if *mode == "sat" {
-		condMode = cond.ModeSAT
-	} else if *mode != "bdd" {
+	rc := runConfig()
+	condMode, ok := cond.ModeByName(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "superc: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
-	opts, ok := optionsByName(*opt)
+	opts, ok := fmlr.OptionsByName(*opt)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "superc: unknown -opt %q\n", *opt)
 		os.Exit(2)
@@ -133,20 +106,15 @@ func main() {
 		defs[name] = val
 	}
 
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-
 	cfg := core.Config{
 		IncludePaths: includes,
 		Defines:      defs,
 		CondMode:     condMode,
 		Parser:       &opts,
 		SingleConfig: *single,
-		ParseWorkers: *parseWorkers,
-		NoStream:     !*streamTokens,
+		ParseWorkers: rc.ParseWorkers,
 	}
-	if !*noHeaderCache && !*single {
+	if !rc.NoHeaderCache && !*single {
 		// One cache shared by every unit (and every worker: it is
 		// concurrency-safe, unlike the per-unit condition spaces).
 		opts := hcache.Options{}
@@ -163,7 +131,7 @@ func main() {
 	ff := fileFlags{
 		printAST: *printAST, project: *project, showStats: *showStats,
 		check: *check, printSrc: *printSrc, rename: *rename,
-		limits: *limits,
+		limits: rc.Budget,
 	}
 	files := flag.Args()
 
@@ -177,9 +145,9 @@ func main() {
 			Mode:         *mode,
 			Opt:          *opt,
 			Single:       *single,
-			Jobs:         *jobs,
-			ParseWorkers: *parseWorkers,
-			Limits:       daemon.FromGuard(*limits),
+			Jobs:         rc.Jobs,
+			ParseWorkers: rc.ParseWorkers,
+			Limits:       daemon.FromGuard(rc.Budget),
 		}, *showStats); err != nil {
 			fmt.Fprintf(os.Stderr, "superc: %v; running in-process\n", err)
 		} else {
@@ -187,7 +155,7 @@ func main() {
 		}
 	}
 
-	nWorkers := *jobs
+	nWorkers := rc.Jobs
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -410,9 +378,10 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, condMode cond
 			u.Invocations, u.NestedInvocations, u.TrimmedInvocations, u.HoistedInvocations,
 			u.Includes, u.Conditionals, u.MaxCondDepth)
 		if res.AST != nil {
+			nodes, choices := res.AST.Counts()
 			fmt.Fprintf(stdout, "parse: %d iterations, max %d subparsers (p99 %d), %d forks, %d merges, %d typedef forks; AST: %d nodes, %d choice nodes\n",
 				p.Iterations, p.MaxSubparsers, p.Percentile(0.99), p.Forks, p.Merges, p.TypedefForks,
-				res.AST.Count(), res.AST.CountChoices())
+				nodes, choices)
 		}
 		fmt.Fprintf(stdout, "tables: cache %s\n", cgrammar.TableCacheState())
 	}

@@ -46,7 +46,6 @@ func main() {
 	storeDir := flag.String("store", "", "artifact store directory persisting warm state across restarts (empty: in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0, "artifact store size bound in bytes (0: default 256 MiB)")
 	maxJobs := flag.Int("max-jobs", 0, "per-request worker-pool clamp (0: GOMAXPROCS)")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent batch-request admission bound; excess queues then sheds with 429 (0: 2x max-jobs)")
 	queueDepth := flag.Int("queue-depth", 0, "admission waiting-room size (0: 16, negative: shed immediately at saturation)")
@@ -62,7 +61,6 @@ func main() {
 		Root:         *root,
 		MaxJobs:      *maxJobs,
 		Caps:         *caps,
-		NoStream:     !*streamTokens,
 		MaxInFlight:  *maxInFlight,
 		QueueDepth:   *queueDepth,
 		QueueWait:    *queueWait,

@@ -118,47 +118,41 @@ func (n *Node) Text() string {
 // Count returns the number of nodes in the tree (shared subtrees counted
 // once).
 func (n *Node) Count() int {
-	seen := make(map[*Node]bool)
-	var walk func(*Node) int
-	walk = func(m *Node) int {
-		if m == nil || seen[m] {
-			return 0
-		}
-		seen[m] = true
-		total := 1
-		for _, c := range m.Children {
-			total += walk(c)
-		}
-		for _, a := range m.Alts {
-			total += walk(a.Node)
-		}
-		return total
-	}
-	return walk(n)
+	nodes, _ := n.Counts()
+	return nodes
 }
 
 // CountChoices returns the number of static choice nodes in the tree.
 func (n *Node) CountChoices() int {
-	seen := make(map[*Node]bool)
-	var walk func(*Node) int
-	walk = func(m *Node) int {
-		if m == nil || seen[m] {
-			return 0
+	_, choices := n.Counts()
+	return choices
+}
+
+// Counts returns Count and CountChoices from one walk of the tree.
+func (n *Node) Counts() (nodes, choices int) {
+	seen := make(map[*Node]struct{})
+	var walk func(*Node)
+	walk = func(m *Node) {
+		if m == nil {
+			return
 		}
-		seen[m] = true
-		total := 0
+		if _, ok := seen[m]; ok {
+			return
+		}
+		seen[m] = struct{}{}
+		nodes++
 		if m.Kind == KindChoice {
-			total = 1
+			choices++
 		}
 		for _, c := range m.Children {
-			total += walk(c)
+			walk(c)
 		}
 		for _, a := range m.Alts {
-			total += walk(a.Node)
+			walk(a.Node)
 		}
-		return total
 	}
-	return walk(n)
+	walk(n)
+	return nodes, choices
 }
 
 // Walk visits every node in preorder; the visitor returns false to prune.

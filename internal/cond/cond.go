@@ -28,6 +28,18 @@ const (
 	ModeSAT             // expression trees + CNF/DPLL (TypeChef baseline)
 )
 
+// ModeByName resolves a -mode name ("bdd" or "sat"; "" is the default,
+// "bdd") for the CLIs and the daemon protocol.
+func ModeByName(name string) (Mode, bool) {
+	switch name {
+	case "", "bdd":
+		return ModeBDD, true
+	case "sat":
+		return ModeSAT, true
+	}
+	return 0, false
+}
+
 // SatStats accumulates the work done by SAT-mode feasibility checks.
 type SatStats struct {
 	Checks       int   // number of satisfiability queries

@@ -78,8 +78,9 @@ type Config struct {
 	// preprocessor materializes the classic segment slab and the parser runs
 	// the queue loop over it unconditionally. Streaming (the default) packs
 	// True-condition tokens into dense chunk runs that feed the parser's
-	// fast path directly; the two modes produce byte-identical output (the
-	// differential suites), so this is purely a kill switch.
+	// fast path directly; the two modes produce byte-identical output, and
+	// this seam lets the differential suites and the streaming speed ratchet
+	// run the materialized pipeline to prove it.
 	NoStream bool
 }
 

@@ -124,8 +124,8 @@ func TestPathConfinement(t *testing.T) {
 	}
 }
 
-// lintInProcess mirrors cmd/clint's lintFile over the same tree, for the
-// differential oracle.
+// lintInProcess lints one file of the same tree directly through core and
+// analysis, bypassing the runner, for the differential oracle.
 func lintInProcess(t *testing.T, root, file string) ([]analysis.Diagnostic, analysis.Stats, string) {
 	t.Helper()
 	tool := core.New(core.Config{

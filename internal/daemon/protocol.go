@@ -26,10 +26,13 @@
 package daemon
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/link"
 	"repro/internal/preprocessor"
 )
@@ -169,6 +172,32 @@ type LintUnit struct {
 	Stats  analysis.Stats `json:"stats"`
 }
 
+// LintUnitOf renders one runner result as a lint unit. superd and clint's
+// in-process path both render through it, so their output is identical.
+func LintUnitOf(r *harness.UnitResult) LintUnit {
+	u := LintUnit{File: r.File}
+	if r.Err != "" {
+		u.Failed = true
+		u.Errors = fmt.Sprintf("clint: %s: %s\n", r.File, r.Err)
+		return u
+	}
+	var errs strings.Builder
+	for _, d := range r.PreDiags {
+		if !d.Warning {
+			fmt.Fprintf(&errs, "clint: %s\n", d)
+		}
+	}
+	u.Errors = errs.String()
+	if a := r.Analysis; a != nil {
+		u.Diags = make([]Diag, len(a.Diags))
+		for i, d := range a.Diags {
+			u.Diags[i] = FromAnalysis(d)
+		}
+		u.Stats = a.Stats
+	}
+	return u
+}
+
 // LintResponse carries one unit per requested file, in request order.
 type LintResponse struct {
 	Units []LintUnit `json:"units"`
@@ -260,6 +289,21 @@ func (f LinkFinding) ToLink() link.Finding {
 	}
 }
 
+// LinkResponseOf renders a corpus-wide join as a link response (the facts
+// cache counters and failed units are the server's to fill in).
+func LinkResponseOf(lr *link.Result) LinkResponse {
+	resp := LinkResponse{
+		Units:    lr.Stats.Units,
+		Symbols:  lr.Stats.Symbols,
+		Facts:    lr.Stats.Facts,
+		Findings: make([]LinkFinding, len(lr.Findings)),
+	}
+	for i, f := range lr.Findings {
+		resp.Findings[i] = FromLink(f)
+	}
+	return resp
+}
+
 // LinkUnit reports one file that failed to parse or extract; units that
 // succeed contribute facts to the joined findings and are not listed.
 type LinkUnit struct {
@@ -310,6 +354,19 @@ type ParseStats struct {
 	ChoiceNodes   int `json:"choiceNodes"`
 }
 
+// parseStats is the deterministic subset of a result's parse statistics.
+func parseStats(r *harness.UnitResult) ParseStats {
+	return ParseStats{
+		Iterations:    r.Parse.Iterations,
+		MaxSubparsers: r.Parse.MaxSubparsers,
+		P99:           r.Parse.Percentile(0.99),
+		Forks:         r.Parse.Forks,
+		Merges:        r.Parse.Merges,
+		TypedefForks:  r.Parse.TypedefForks,
+		ChoiceNodes:   r.ChoiceNodes,
+	}
+}
+
 // ParseUnit is one file's parse outcome. Space-tied diagnostics arrive
 // pre-rendered; everything else is structured so the client renders with
 // its own code.
@@ -323,6 +380,27 @@ type ParseUnit struct {
 	HasAST    bool                      `json:"hasAST"`
 	Killed    bool                      `json:"killed,omitempty"`
 	BudgetErr string                    `json:"budgetErr,omitempty"` // rendered guard.Diagnostic, "" if none
+}
+
+// ParseUnitOf renders one runner result as a superc summary unit.
+func ParseUnitOf(r *harness.UnitResult) ParseUnit {
+	u := ParseUnit{File: r.File}
+	if r.Err != "" {
+		u.Err = r.Err
+		return u
+	}
+	u.Pre = r.Pre
+	u.Pre.LexTime = 0
+	u.PreDiags = r.PreDiags
+	u.ParseErrs = r.ParseErrs
+	u.Parse = parseStats(r)
+	u.Parse.ASTNodes = r.ASTNodes
+	u.HasAST = !r.ParseFail
+	u.Killed = r.Killed
+	if r.Budget != nil {
+		u.BudgetErr = r.Budget.Error()
+	}
+	return u
 }
 
 // ParseResponse carries one unit per requested file, in request order.
@@ -368,6 +446,30 @@ type CorpusUnit struct {
 	Diags       []Diag                 `json:"diags,omitempty"`
 	Stats       analysis.Stats         `json:"stats"`
 	HasAnalysis bool                   `json:"hasAnalysis,omitempty"`
+}
+
+// toCorpusUnit extracts the deterministic subset of a harness result.
+func toCorpusUnit(r *harness.UnitResult) CorpusUnit {
+	u := CorpusUnit{
+		File:      r.File,
+		Bytes:     r.Bytes,
+		Tokens:    r.Tokens,
+		Pre:       r.Pre,
+		Killed:    r.Killed,
+		ParseFail: r.ParseFail,
+		Err:       r.Err,
+		Parse:     parseStats(r),
+	}
+	u.Pre.LexTime = 0
+	if a := r.Analysis; a != nil {
+		u.HasAnalysis = true
+		u.Diags = make([]Diag, len(a.Diags))
+		for i, d := range a.Diags {
+			u.Diags[i] = FromAnalysis(d)
+		}
+		u.Stats = a.Stats
+	}
+	return u
 }
 
 // CorpusResponse carries one unit per corpus file, in corpus order.

@@ -13,14 +13,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
 	"repro/internal/cgrammar"
 	"repro/internal/cond"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fmlr"
 	"repro/internal/guard"
@@ -45,11 +43,6 @@ type Config struct {
 	// Store, when non-nil, backs the header cache and the corpus facts
 	// cache, persisting warm state across daemon restarts.
 	Store *store.Store
-	// NoStream disables the stream-fused token pipeline for every request
-	// (core.Config.NoStream). A server-side kill switch, not a request knob:
-	// the two modes are proven byte-identical, so clients cannot observe the
-	// difference and the facts fingerprint deliberately excludes it.
-	NoStream bool
 	// MaxInFlight bounds concurrently executing batch requests; beyond it
 	// requests queue briefly, then are shed with 429 + Retry-After. 0 means
 	// 2×MaxJobs (two batches can interleave on the worker pool).
@@ -276,36 +269,6 @@ func checkLocal(paths []string) error {
 	return nil
 }
 
-func condMode(name string) (cond.Mode, error) {
-	switch name {
-	case "", "bdd":
-		return cond.ModeBDD, nil
-	case "sat":
-		return cond.ModeSAT, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
-func parserOpts(name string) (fmlr.Options, error) {
-	switch name {
-	case "", "all":
-		return fmlr.OptAll, nil
-	case "sharedlazy":
-		return fmlr.OptSharedLazy, nil
-	case "shared":
-		return fmlr.OptShared, nil
-	case "lazy":
-		return fmlr.OptLazy, nil
-	case "follow":
-		return fmlr.OptFollowOnly, nil
-	case "mapr":
-		return fmlr.OptMAPR, nil
-	case "mapr-largest":
-		return fmlr.OptMAPRLargest, nil
-	}
-	return fmlr.Options{}, fmt.Errorf("unknown optimization level %q", name)
-}
-
 func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -325,19 +288,13 @@ func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 	return passes.ByName(names), nil
 }
 
-// jobs clamps a requested worker count to the server bound.
-func (s *Server) jobs(req, n int) int {
-	j := req
-	if j <= 0 || j > s.cfg.MaxJobs {
-		j = s.cfg.MaxJobs
+// jobs clamps a requested worker count to the server bound (the runner
+// further clamps it to the batch size).
+func (s *Server) jobs(req int) int {
+	if req <= 0 || req > s.cfg.MaxJobs {
+		return s.cfg.MaxJobs
 	}
-	if j > n {
-		j = n
-	}
-	if j < 1 {
-		j = 1
-	}
-	return j
+	return req
 }
 
 // parseWorkers clamps a requested intra-unit worker count to the server
@@ -353,34 +310,71 @@ func (s *Server) parseWorkers(req int) int {
 	return req
 }
 
-// forEach runs fn over indices 0..n-1 on a bounded worker pool.
-func forEach(n, workers int, fn func(i int)) {
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
+// runConfig is the RunConfig of one batch request: its configuration
+// ("" mode and opt names select the defaults), the server's warm header
+// cache, and its worker counts and limits clamped to the server's bounds.
+func (s *Server) runConfig(mode, opt string, includes []string, defines map[string]string, jobs, parseWorkers int, limits Limits) (harness.RunConfig, error) {
+	m, ok := cond.ModeByName(mode)
+	if !ok {
+		return harness.RunConfig{}, fmt.Errorf("unknown mode %q", mode)
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	o, ok := fmlr.OptionsByName(opt)
+	if !ok {
+		return harness.RunConfig{}, fmt.Errorf("unknown optimization level %q", opt)
 	}
-	close(work)
-	wg.Wait()
+	return harness.RunConfig{
+		Mode:         m,
+		Parser:       o,
+		Defines:      defines,
+		Jobs:         s.jobs(jobs),
+		ParseWorkers: s.parseWorkers(parseWorkers),
+		IncludePaths: includes,
+		HeaderCache:  s.hc,
+		Budget:       Clamp(limits.ToGuard(), s.cfg.Caps),
+	}, nil
+}
+
+// run executes one batch on the harness runner and folds its metrics into
+// the server's counters.
+func (s *Server) run(ctx context.Context, in harness.Units, cfg harness.RunConfig) ([]harness.UnitResult, harness.Metrics) {
+	results, m := harness.RunUnits(ctx, in, cfg)
+	s.failedUnits.Add(int64(m.FailedUnits))
+	s.killedUnits.Add(int64(m.KilledUnits))
+	s.budgetTrips.Add(int64(m.BudgetTrips))
+	s.forks.Add(m.Forks)
+	s.merges.Add(m.Merges)
+	return results, m
+}
+
+// decodeBatch decodes a batch request body, answering 400 itself when it
+// is malformed.
+func decodeBatch(w http.ResponseWriter, r *http.Request, req any) bool {
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+		return false
+	}
+	return true
+}
+
+// checkPaths confines a request's files and include paths to the server
+// root, answering 400 itself when one escapes.
+func checkPaths(w http.ResponseWriter, files, includes []string) bool {
+	for _, paths := range [][]string{files, includes} {
+		if err := checkLocal(paths); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	s.reqLint.Inc()
 	var req LintRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBatch(w, r, &req) {
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, err := s.runConfig(req.Mode, "", req.IncludePaths, req.Defines, req.Jobs, req.ParseWorkers, req.Limits)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -393,285 +387,144 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if analyzers == nil {
 		analyzers = passes.All()
 	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if !checkPaths(w, req.Files, req.IncludePaths) {
 		return
 	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	cfg.Analyzers = analyzers
+	results, _ := s.run(r.Context(), harness.Units{FS: rootFS{s.cfg.Root}, Files: req.Files}, cfg)
+	resp := LintResponse{Units: make([]LintUnit, len(results))}
+	for i := range results {
+		resp.Units[i] = LintUnitOf(&results[i])
 	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	cfg := core.Config{
-		FS:           rootFS{s.cfg.Root},
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		HeaderCache:  s.hc,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
-	}
-	resp := LintResponse{Units: make([]LintUnit, len(req.Files))}
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
-		resp.Units[i] = s.lintUnit(r.Context(), cfg, req.Files[i], analyzers, limits)
-	})
 	s.units.Add(int64(len(req.Files)))
 	writeJSON(w, &resp)
-}
-
-// lintUnit mirrors cmd/clint's lintFile: same tool construction, same error
-// text, so the client's reassembled output is byte-identical.
-func (s *Server) lintUnit(ctx context.Context, cfg core.Config, file string, analyzers []*analysis.Analyzer, limits guard.Limits) LintUnit {
-	u := LintUnit{File: file}
-	tool := core.New(cfg)
-	budget := guard.New(ctx, limits)
-	tool.SetBudget(budget)
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		u.Failed = true
-		u.Errors = fmt.Sprintf("clint: %s: %v\n", file, err)
-		return u
-	}
-	var errs strings.Builder
-	for _, d := range res.Unit.Diags {
-		if !d.Warning {
-			fmt.Fprintf(&errs, "clint: %s\n", d)
-		}
-	}
-	u.Errors = errs.String()
-	result := analysis.Run(&analysis.Unit{
-		File:   file,
-		Space:  tool.Space(),
-		AST:    res.AST,
-		PP:     res.Unit,
-		Budget: tool.Budget(),
-	}, analyzers)
-	u.Diags = make([]Diag, len(result.Diags))
-	for i, d := range result.Diags {
-		u.Diags[i] = FromAnalysis(d)
-	}
-	u.Stats = result.Stats
-	if d := budget.Trip(); d != nil {
-		s.budgetTrips.Inc()
-	}
-	return u
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	s.reqParse.Inc()
 	var req ParseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBatch(w, r, &req) {
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, err := s.runConfig(req.Mode, req.Opt, req.IncludePaths, req.Defines, req.Jobs, req.ParseWorkers, req.Limits)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := parserOpts(req.Opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if !checkPaths(w, req.Files, req.IncludePaths) {
 		return
 	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	cfg.Single = req.Single
+	results, _ := s.run(r.Context(), harness.Units{FS: rootFS{s.cfg.Root}, Files: req.Files}, cfg)
+	resp := ParseResponse{Units: make([]ParseUnit, len(results)), TableCache: cgrammar.TableCacheState()}
+	for i := range results {
+		resp.Units[i] = ParseUnitOf(&results[i])
 	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	cfg := core.Config{
-		FS:           rootFS{s.cfg.Root},
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		Parser:       &opts,
-		SingleConfig: req.Single,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
-	}
-	if !req.Single {
-		cfg.HeaderCache = s.hc
-	}
-	resp := ParseResponse{Units: make([]ParseUnit, len(req.Files))}
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
-		resp.Units[i] = s.parseUnit(r.Context(), cfg, req.Files[i], limits)
-	})
-	resp.TableCache = cgrammar.TableCacheState()
 	s.units.Add(int64(len(req.Files)))
 	writeJSON(w, &resp)
-}
-
-// parseUnit runs one superc-style unit and extracts the deterministic
-// summary (timings excluded; space-tied parse diagnostics pre-rendered).
-func (s *Server) parseUnit(ctx context.Context, cfg core.Config, file string, limits guard.Limits) ParseUnit {
-	u := ParseUnit{File: file}
-	tool := core.New(cfg)
-	budget := guard.New(ctx, limits)
-	tool.SetBudget(budget)
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		u.Err = err.Error()
-		return u
-	}
-	u.PreDiags = res.Unit.Diags
-	for _, d := range res.Parse.Diags {
-		u.ParseErrs = append(u.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
-			d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg))
-	}
-	u.Killed = res.Parse.Killed
-	u.Pre = res.Unit.Stats
-	u.Pre.LexTime = 0
-	p := res.Parse.Stats
-	u.Parse = ParseStats{
-		Iterations:    p.Iterations,
-		MaxSubparsers: p.MaxSubparsers,
-		P99:           p.Percentile(0.99),
-		Forks:         p.Forks,
-		Merges:        p.Merges,
-		TypedefForks:  p.TypedefForks,
-	}
-	if res.AST != nil {
-		u.HasAST = true
-		u.Parse.ASTNodes = res.AST.Count()
-		u.Parse.ChoiceNodes = res.AST.CountChoices()
-	}
-	if d := budget.Trip(); d != nil {
-		u.BudgetErr = fmt.Sprintf("%v", d)
-		s.budgetTrips.Inc()
-	}
-	s.forks.Add(int64(p.Forks))
-	s.merges.Add(int64(p.Merges))
-	if res.Parse.Killed {
-		s.killedUnits.Inc()
-	}
-	if res.AST == nil {
-		s.failedUnits.Inc()
-	}
-	return u
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	s.reqLink.Inc()
 	var req LinkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBatch(w, r, &req) {
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, err := s.runConfig(req.Mode, "", req.IncludePaths, req.Defines, req.Jobs, req.ParseWorkers, req.Limits)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if !checkPaths(w, req.Files, req.IncludePaths) {
 		return
 	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	cfg.Link = true
+	in := harness.Units{FS: rootFS{s.cfg.Root}, Files: req.Files}
+	var cache *linkCache
+	if s.cfg.Store != nil && !req.NoFacts {
+		cache = &linkCache{
+			st:    s.cfg.Store,
+			fs:    rootFS{s.cfg.Root},
+			fp:    s.linkFingerprint(req, cfg.Budget),
+			files: req.Files,
+			keys:  make([]string, len(req.Files)),
+		}
+		in.Cache = cache
 	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	fs := rootFS{s.cfg.Root}
-	cfg := core.Config{
-		FS:           fs,
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		HeaderCache:  s.hc,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
+	// The runner joins cached and fresh facts together, once.
+	results, m := s.run(r.Context(), in, cfg)
+	resp := LinkResponseOf(m.LinkResult)
+	if cache != nil {
+		resp.FactsHits = cache.hits.Load()
 	}
-	fp := s.linkFingerprint(req, limits)
-	useFacts := s.cfg.Store != nil && !req.NoFacts
-	facts := make([]*link.Facts, len(req.Files))
-	unitErrs := make([]string, len(req.Files))
-	var hits, misses stats.Counter
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
-		file := req.Files[i]
-		// The cache key folds in the root file's content hash, so editing a
-		// .c file invalidates its facts across restarts. Header edits are not
-		// tracked here; flush with -no-facts (or a fresh store) after
-		// changing shared headers.
-		var key string
-		if useFacts {
-			if data, err := fs.ReadFile(file); err == nil {
-				key = fmt.Sprintf("%s\x00%s\x00%x", fp, file, sha256.Sum256(data))
-				if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
-					if f, err := link.DecodeFacts(raw); err == nil {
-						facts[i] = f
-						hits.Inc()
-						return
-					}
-					s.cfg.Store.Delete(store.NSLink, key)
-				}
-			}
-		}
-		misses.Inc()
-		tool := core.New(cfg)
-		budget := guard.New(r.Context(), limits)
-		tool.SetBudget(budget)
-		res, err := tool.ParseFile(file)
-		if err != nil {
-			unitErrs[i] = fmt.Sprintf("%s: %v\n", file, err)
-			return
-		}
-		if res.AST == nil {
-			unitErrs[i] = fmt.Sprintf("%s: no AST (parse failed)\n", file)
-			return
-		}
-		f := analysis.ExtractLinkFacts(&analysis.Unit{
-			File:   file,
-			Space:  tool.Space(),
-			AST:    res.AST,
-			PP:     res.Unit,
-			Budget: tool.Budget(),
-		})
-		facts[i] = f
-		tripped := budget.Trip() != nil
-		if tripped {
-			s.budgetTrips.Inc()
-		}
-		// Budget-tripped extractions may be truncated; only complete fact
-		// sets persist.
-		if key != "" && !tripped {
-			if data, err := f.Encode(); err == nil {
-				s.cfg.Store.Put(store.NSLink, key, data)
-			}
-		}
-	})
-	joined := make([]*link.Facts, 0, len(facts))
-	for _, f := range facts {
-		if f != nil {
-			joined = append(joined, f)
-		}
-	}
-	lr := link.Link(joined, s.hc.Canon())
-	resp := LinkResponse{
-		Units:       lr.Stats.Units,
-		Symbols:     lr.Stats.Symbols,
-		Facts:       lr.Stats.Facts,
-		Findings:    make([]LinkFinding, len(lr.Findings)),
-		FactsHits:   hits.Load(),
-		FactsMisses: misses.Load(),
-	}
-	for i, f := range lr.Findings {
-		resp.Findings[i] = FromLink(f)
-	}
-	for i, e := range unitErrs {
-		if e != "" {
+	resp.FactsMisses = int64(len(req.Files)) - resp.FactsHits
+	for i := range results {
+		if e := linkFailure(&results[i]); e != "" {
 			resp.Failed = append(resp.Failed, LinkUnit{File: req.Files[i], Errors: e})
 		}
 	}
 	s.units.Add(int64(len(req.Files)))
-	s.linkUnits.Add(int64(lr.Stats.Units))
-	s.linkFindings.Add(int64(len(lr.Findings)))
-	s.linkFactsHits.Add(hits.Load())
-	s.linkFactsMiss.Add(misses.Load())
+	s.linkUnits.Add(int64(resp.Units))
+	s.linkFindings.Add(int64(len(resp.Findings)))
+	s.linkFactsHits.Add(resp.FactsHits)
+	s.linkFactsMiss.Add(resp.FactsMisses)
 	writeJSON(w, &resp)
+}
+
+// linkFailure is the error text of a unit that contributed no facts, or "".
+func linkFailure(r *harness.UnitResult) string {
+	switch {
+	case r.Err != "":
+		return fmt.Sprintf("%s: %s\n", r.File, r.Err)
+	case r.ParseFail:
+		return fmt.Sprintf("%s: no AST (parse failed)\n", r.File)
+	}
+	return ""
+}
+
+// linkCache serves /v1/link units from the link facts persisted in the
+// store. The key folds in the root file's content hash, so editing a .c
+// file invalidates its facts across restarts. Header edits are not tracked
+// here; flush with -no-facts (or a fresh store) after changing shared
+// headers.
+type linkCache struct {
+	st    *store.Store
+	fs    rootFS
+	fp    string
+	files []string
+	keys  []string // per unit; "" when its root file is unreadable
+	hits  stats.Counter
+}
+
+func (c *linkCache) Get(i int) (harness.UnitResult, bool) {
+	file := c.files[i]
+	data, err := c.fs.ReadFile(file)
+	if err != nil {
+		return harness.UnitResult{}, false
+	}
+	c.keys[i] = fmt.Sprintf("%s\x00%s\x00%x", c.fp, file, sha256.Sum256(data))
+	raw, ok := c.st.Get(store.NSLink, c.keys[i])
+	if !ok {
+		return harness.UnitResult{}, false
+	}
+	f, err := link.DecodeFacts(raw)
+	if err != nil {
+		c.st.Delete(store.NSLink, c.keys[i])
+		return harness.UnitResult{}, false
+	}
+	c.hits.Inc()
+	return harness.UnitResult{File: file, LinkFacts: f}, true
+}
+
+// Put persists only complete fact sets: a budget-tripped extraction may be
+// truncated.
+func (c *linkCache) Put(i int, r *harness.UnitResult) {
+	if c.keys[i] == "" || r.LinkFacts == nil || r.Budget != nil {
+		return
+	}
+	if data, err := r.LinkFacts.Encode(); err == nil {
+		c.st.Put(store.NSLink, c.keys[i], data)
+	}
 }
 
 // linkFingerprint keys the persisted link-fact cache: every request knob
@@ -691,16 +544,10 @@ func (s *Server) linkFingerprint(req LinkRequest, limits guard.Limits) string {
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	s.reqCorpus.Inc()
 	var req CorpusRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBatch(w, r, &req) {
 		return
 	}
-	mode, err := condMode(req.Mode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts, err := parserOpts(req.Opt)
+	cfg, err := s.runConfig(req.Mode, req.Opt, harness.IncludePaths, nil, req.Jobs, req.ParseWorkers, req.Limits)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -710,12 +557,14 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
 	c := corpus.Generate(corpus.Params{Seed: req.Seed, CFiles: req.CFiles, GenHeaders: req.Headers})
-	fp := s.factsFingerprint(req, limits)
+	cfg.Single = req.Single
+	cfg.Analyzers = analyzers
+	fp := s.factsFingerprint(req, cfg.Budget)
 
 	resp := CorpusResponse{Units: make([]CorpusUnit, len(c.CFiles))}
 	var missing []int
+	var missFiles []string
 	useFacts := s.cfg.Store != nil && !req.NoFacts
 	for i, f := range c.CFiles {
 		if useFacts && store.GetGob(s.cfg.Store, store.NSFacts, fp+"\x00"+f, &resp.Units[i]) {
@@ -723,25 +572,11 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		missing = append(missing, i)
+		missFiles = append(missFiles, f)
 	}
 	if len(missing) > 0 {
 		resp.FactsMisses = int64(len(missing))
-		sub := *c
-		sub.CFiles = make([]string, len(missing))
-		for j, i := range missing {
-			sub.CFiles[j] = c.CFiles[i]
-		}
-		results, m := harness.RunMetered(r.Context(), &sub, harness.RunConfig{
-			Mode:         mode,
-			Parser:       opts,
-			Single:       req.Single,
-			Jobs:         s.jobs(req.Jobs, len(missing)),
-			ParseWorkers: s.parseWorkers(req.ParseWorkers),
-			HeaderCache:  s.hc,
-			NoStream:     s.cfg.NoStream,
-			Budget:       limits,
-			Analyzers:    analyzers,
-		})
+		results, _ := s.run(r.Context(), harness.Units{FS: c.FS, Files: missFiles}, cfg)
 		for j, i := range missing {
 			u := toCorpusUnit(&results[j])
 			resp.Units[i] = u
@@ -749,14 +584,9 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			// deterministic fact; everything else is a pure function of
 			// (corpus, config, limits) and may be served across restarts.
 			if useFacts && u.Err == "" {
-				store.PutGob(s.cfg.Store, store.NSFacts, fp+"\x00"+c.CFiles[i], &u)
+				store.PutGob(s.cfg.Store, store.NSFacts, fp+"\x00"+missFiles[j], &u)
 			}
 		}
-		s.failedUnits.Add(int64(m.FailedUnits))
-		s.killedUnits.Add(int64(m.KilledUnits))
-		s.budgetTrips.Add(int64(m.BudgetTrips))
-		s.forks.Add(m.Forks)
-		s.merges.Add(m.Merges)
 	}
 	s.factsHits.Add(resp.FactsHits)
 	s.factsMisses.Add(resp.FactsMisses)
@@ -775,38 +605,6 @@ func (s *Server) factsFingerprint(req CorpusRequest, limits guard.Limits) string
 	return fmt.Sprintf("%s;seed=%d;cfiles=%d;headers=%d;mode=%s;opt=%s;single=%t;passes=%s;limits=%+v",
 		Version, req.Seed, req.CFiles, req.Headers, req.Mode, req.Opt, req.Single,
 		strings.Join(names, ","), limits)
-}
-
-// toCorpusUnit extracts the deterministic subset of a harness result.
-func toCorpusUnit(r *harness.UnitResult) CorpusUnit {
-	u := CorpusUnit{
-		File:      r.File,
-		Bytes:     r.Bytes,
-		Tokens:    r.Tokens,
-		Pre:       r.Pre,
-		Killed:    r.Killed,
-		ParseFail: r.ParseFail,
-		Err:       r.Err,
-		Parse: ParseStats{
-			Iterations:    r.Parse.Iterations,
-			MaxSubparsers: r.Parse.MaxSubparsers,
-			P99:           r.Parse.Percentile(0.99),
-			Forks:         r.Parse.Forks,
-			Merges:        r.Parse.Merges,
-			TypedefForks:  r.Parse.TypedefForks,
-			ChoiceNodes:   r.ChoiceNodes,
-		},
-	}
-	u.Pre.LexTime = 0
-	if a := r.Analysis; a != nil {
-		u.HasAnalysis = true
-		u.Diags = make([]Diag, len(a.Diags))
-		for i, d := range a.Diags {
-			u.Diags[i] = FromAnalysis(d)
-		}
-		u.Stats = a.Stats
-	}
-	return u
 }
 
 // counters collects every exposed counter under stable names.

@@ -91,6 +91,28 @@ var (
 	OptMAPRLargest = Options{NoChoiceMerge: true, LargestFirst: true}
 )
 
+// OptionsByName resolves a -opt name to its optimization level: all,
+// sharedlazy, shared, lazy, follow, mapr, mapr-largest ("" is "all").
+func OptionsByName(name string) (Options, bool) {
+	switch name {
+	case "", "all":
+		return OptAll, true
+	case "sharedlazy":
+		return OptSharedLazy, true
+	case "shared":
+		return OptShared, true
+	case "lazy":
+		return OptLazy, true
+	case "follow":
+		return OptFollowOnly, true
+	case "mapr":
+		return OptMAPR, true
+	case "mapr-largest":
+		return OptMAPRLargest, true
+	}
+	return Options{}, false
+}
+
 // Stats instruments one parse (Figure 8's subparser counts).
 type Stats struct {
 	Iterations    int

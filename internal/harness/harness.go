@@ -1,14 +1,15 @@
-// Package harness drives the paper's evaluation (§6) over the synthetic
-// corpus and renders each table and figure in the paper's format. It is
-// shared by cmd/cstats, cmd/fmlrbench, and the repository's root
-// benchmarks.
+// Package harness is the one per-unit runner: RunUnits preprocesses,
+// parses and analyzes a list of compilation units for clint, cstats,
+// fmlrbench, superd's batch endpoints and the repository's root benchmarks.
+// Over the synthetic corpus it also drives the paper's evaluation (§6) and
+// renders each table and figure in the paper's format.
 //
 // # Concurrent design
 //
 // Compilation units are independent — each gets a fresh core.Tool with its
-// own presence-condition space and macro table — so Run fans them out over
-// a bounded worker pool (RunConfig.Jobs wide, GOMAXPROCS by default).
-// Results land in a slice indexed by the unit's corpus position, so output
+// own presence-condition space and macro table — so RunUnits fans them out
+// over a bounded worker pool (RunConfig.Jobs wide, GOMAXPROCS by default).
+// Results land in a slice indexed by the unit's input position, so output
 // ordering is deterministic regardless of scheduling, and per-unit timing
 // is measured inside the worker exactly as in the sequential harness. A
 // unit that panics or trips the subparser kill switch degrades to a
@@ -27,7 +28,7 @@
 // failure quarantines the unit, which Metrics reports by path.
 //
 // While a run is in flight the workers maintain lock-free counters
-// (stats.Counter/Timer/HighWater); RunMetered returns their final values as
+// (stats.Counter/Timer/HighWater); RunUnits returns their final values as
 // a Metrics snapshot alongside the results.
 package harness
 
@@ -58,38 +59,6 @@ import (
 
 // IncludePaths are the corpus's include directories.
 var IncludePaths = []string{"include", "include/gen", "include/linux"}
-
-// DefaultJobs is the worker-pool width used when RunConfig.Jobs is zero;
-// zero means runtime.GOMAXPROCS(0). The cmd tools' -j flag sets it once at
-// startup, before any runs.
-var DefaultJobs int
-
-// DisableHeaderCache turns off the shared cross-unit header cache for runs
-// that do not override RunConfig.HeaderCache. The cmd tools' -no-header-cache
-// flag sets it once at startup.
-var DisableHeaderCache bool
-
-// DefaultBudget supplies per-unit resource limits for runs that leave
-// RunConfig.Budget zero. The cmd tools' -timeout/-budget-* flags set it once
-// at startup so that every run (Figure sweeps included) inherits it.
-var DefaultBudget guard.Limits
-
-// DefaultQuarantine enables retry-once-then-quarantine for runs that leave
-// RunConfig.Quarantine unset. The cmd tools' -quarantine flag sets it once
-// at startup.
-var DefaultQuarantine bool
-
-// DefaultParseWorkers is the intra-unit parse worker count used when
-// RunConfig.ParseWorkers is zero. 0 and 1 parse sequentially. The cmd tools'
-// -parse-workers flag sets it once at startup.
-var DefaultParseWorkers int
-
-// DisableStreaming turns off the stream-fused preprocessor→parser pipeline
-// for runs that do not override RunConfig.NoStream: the preprocessor
-// materializes the classic segment slab and the parser runs its queue loop
-// over it unconditionally. The cmd tools' -stream-tokens=false kill switch
-// sets it once at startup.
-var DisableStreaming bool
 
 // sharedHeaderCache is the process-wide default header cache, created on
 // first cached run so that repeated runs (benchmark arms, Figure sweeps)
@@ -133,7 +102,7 @@ func Store() *store.Store {
 // process-wide default, or nil when disabled (including single-configuration
 // mode, which the preprocessor would ignore the cache for anyway).
 func (cfg RunConfig) headerCache() *hcache.Cache {
-	if cfg.NoHeaderCache || DisableHeaderCache || cfg.Single {
+	if cfg.NoHeaderCache || cfg.Single {
 		return nil
 	}
 	if cfg.HeaderCache != nil {
@@ -151,43 +120,38 @@ func (cfg RunConfig) headerCache() *hcache.Cache {
 	return sharedHeaderCache
 }
 
-// RunConfig selects one experimental arm.
+// RunConfig selects one experimental arm. Every knob a run honours is a
+// field here: the CLIs fill one from their flags (FlagRunConfig) and superd
+// from each request, and nothing else reaches the runner.
 type RunConfig struct {
-	Mode       cond.Mode
-	Parser     fmlr.Options
-	Single     bool
-	KillSwitch int               // override kill switch (0: parser default)
-	Defines    map[string]string // single-configuration defines
-	// Jobs bounds the worker pool: 0 defers to DefaultJobs (then
-	// GOMAXPROCS), 1 is fully sequential.
+	Mode    cond.Mode
+	Parser  fmlr.Options      // optimization level and kill switch
+	Single  bool              // single-configuration (gcc-like) mode
+	Defines map[string]string // -D style macro definitions
+	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
+	// sequential.
 	Jobs int
 	// ParseWorkers bounds intra-unit parallelism: with more than one worker
 	// the parser splits each unit at top-level declaration boundaries and
 	// parses the regions concurrently, with output proven byte-identical to
-	// the sequential parse. 0 defers to DefaultParseWorkers; 0/1 parse
-	// sequentially. It composes with Jobs: each of the Jobs units in flight
-	// may fan out up to ParseWorkers region parses.
+	// the sequential parse. 0 and 1 parse sequentially. It composes with
+	// Jobs: each of the Jobs units in flight may fan out up to ParseWorkers
+	// region parses.
 	ParseWorkers int
-	// IncludePaths overrides the corpus include directories for this run
-	// (empty defers to the package-level IncludePaths). The daemon sets it
-	// per request, since different corpora need different include roots.
+	// IncludePaths are the directories searched for #include files. Run and
+	// RunMetered default them to the corpus's IncludePaths.
 	IncludePaths []string
 	// HeaderCache overrides the shared cross-unit header cache for this run.
-	// nil uses the process-wide default cache unless NoHeaderCache (or the
-	// global DisableHeaderCache) is set.
+	// nil uses the process-wide default cache unless NoHeaderCache is set.
 	HeaderCache *hcache.Cache
 	// NoHeaderCache disables header caching for this run.
 	NoHeaderCache bool
-	// NoStream disables the stream-fused token pipeline for this run (see
-	// core.Config.NoStream). False defers to the global DisableStreaming.
-	NoStream bool
-	// Budget sets per-unit resource ceilings (internal/guard). The zero
-	// value defers to DefaultBudget; all-zero limits still attach a budget
-	// so that context cancellation reaches in-flight units.
+	// Budget sets per-unit resource ceilings (internal/guard). All-zero
+	// limits still attach a budget so that context cancellation reaches
+	// in-flight units.
 	Budget guard.Limits
 	// Quarantine retries a failed or budget-tripped unit once and, on a
 	// second failure, marks it quarantined instead of retrying forever.
-	// False defers to DefaultQuarantine.
 	Quarantine bool
 	// Analyzers, when non-empty, runs the variability-aware analysis passes
 	// over every unit after parsing (internal/analysis); each unit's
@@ -201,46 +165,9 @@ type RunConfig struct {
 	Link bool
 }
 
-// limits resolves the effective per-unit resource limits.
-func (cfg RunConfig) limits() guard.Limits {
-	if cfg.Budget.Zero() {
-		return DefaultBudget
-	}
-	return cfg.Budget
-}
-
-// quarantine resolves whether retry-once-then-quarantine is active.
-func (cfg RunConfig) quarantine() bool {
-	return cfg.Quarantine || DefaultQuarantine
-}
-
-// noStream resolves whether the stream-fused pipeline is disabled.
-func (cfg RunConfig) noStream() bool {
-	return cfg.NoStream || DisableStreaming
-}
-
-// parseWorkers resolves the effective intra-unit parse worker count.
-func (cfg RunConfig) parseWorkers() int {
-	if cfg.ParseWorkers != 0 {
-		return cfg.ParseWorkers
-	}
-	return DefaultParseWorkers
-}
-
-// includePaths resolves the effective include directories.
-func (cfg RunConfig) includePaths() []string {
-	if len(cfg.IncludePaths) > 0 {
-		return cfg.IncludePaths
-	}
-	return IncludePaths
-}
-
 // jobs resolves the effective worker count for n units.
 func (cfg RunConfig) jobs(n int) int {
 	j := cfg.Jobs
-	if j <= 0 {
-		j = DefaultJobs
-	}
 	if j <= 0 {
 		j = runtime.GOMAXPROCS(0)
 	}
@@ -262,7 +189,7 @@ type UnitResult struct {
 	Parse     fmlr.Stats
 	Killed    bool
 	ParseFail bool
-	Err       string // non-parse failure: panic recovered or run cancelled
+	Err       string // unit not processed: preprocessor error, recovered panic, or run cancelled
 	Stack     string // goroutine stack captured when Err records a panic
 	// Budget is the structured diagnostic when the unit tripped its
 	// resource budget and degraded to a partial AST (nil otherwise).
@@ -274,7 +201,14 @@ type UnitResult struct {
 	ParseTime   time.Duration
 	TotalTime   time.Duration
 	ChoiceNodes int
+	ASTNodes    int
 	BDDNodes    int // presence-condition nodes allocated for this unit (BDD mode)
+
+	// PreDiags are the preprocessor's diagnostics; ParseErrs are the parse
+	// errors rendered "pos: parse error under COND: msg" (conditions are
+	// tied to the unit's space, so they are rendered before it is dropped).
+	PreDiags  []preprocessor.Diagnostic
+	ParseErrs []string
 
 	// Hot-path cache effectiveness for this unit (BDD mode only for the
 	// op-cache numbers; cond fast-paths cover both modes).
@@ -595,20 +529,45 @@ func Run(c *corpus.Corpus, cfg RunConfig) []UnitResult {
 	return results
 }
 
-// RunMetered is Run with cancellation and a metrics snapshot. Units are
-// distributed over cfg.Jobs workers; results keep corpus order. When ctx is
+// RunMetered is RunUnits over the corpus, with the corpus include
+// directories unless cfg names its own.
+func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitResult, Metrics) {
+	if len(cfg.IncludePaths) == 0 {
+		cfg.IncludePaths = IncludePaths
+	}
+	return RunUnits(ctx, Units{FS: c.FS, Files: c.CFiles}, cfg)
+}
+
+// Units is one run's input: the compilation units and where they are read
+// from.
+type Units struct {
+	FS    preprocessor.FileSystem // nil: the operating system
+	Files []string
+	// Cache, when non-nil, serves units from the caller's own store.
+	Cache UnitCache
+}
+
+// UnitCache lets a caller answer some units from its own cache. A worker
+// asks Get before running unit i; a hit becomes the unit's result without
+// reaching the pipeline. Every unit the runner did run is handed to Put.
+// Both are called from workers, at most once per index.
+type UnitCache interface {
+	Get(i int) (UnitResult, bool)
+	Put(i int, r *UnitResult)
+}
+
+// RunUnits runs every unit through the per-unit pipeline — preprocess,
+// parse, then the analyses cfg selects — on a pool of cfg.Jobs workers, and
+// returns the results in input order with a metrics snapshot. When ctx is
 // cancelled, units not yet started are recorded as failed with Err
 // "run cancelled" and the call returns after in-flight units finish.
-func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitResult, Metrics) {
+func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metrics) {
 	parser := cfg.Parser
-	if cfg.KillSwitch != 0 {
-		parser.KillSwitch = cfg.KillSwitch
-	}
 	if parser.ParseWorkers == 0 {
-		parser.ParseWorkers = cfg.parseWorkers()
+		parser.ParseWorkers = cfg.ParseWorkers
 	}
-	jobs := cfg.jobs(len(c.CFiles))
-	out := make([]UnitResult, len(c.CFiles))
+	jobs := cfg.jobs(len(in.Files))
+	out := make([]UnitResult, len(in.Files))
 	col := newCollector()
 	hc := cfg.headerCache()
 	var hcBefore hcache.Snapshot
@@ -629,15 +588,23 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				file := in.Files[i]
 				if ctx.Err() != nil {
-					out[i] = UnitResult{File: c.CFiles[i], ParseFail: true, Err: "run cancelled"}
+					out[i] = UnitResult{File: file, ParseFail: true, Err: "run cancelled"}
 					col.add(&out[i])
 					continue
 				}
+				if in.Cache != nil {
+					if r, ok := in.Cache.Get(i); ok {
+						out[i] = r
+						col.add(&out[i])
+						continue
+					}
+				}
 				col.inFlight.Enter()
-				r := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
-				if cfg.quarantine() && r.unhealthy() && ctx.Err() == nil {
-					retry := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
+				r := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
+				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
+					retry := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
 					retry.Retried = true
 					if retry.unhealthy() {
 						retry.Quarantined = true
@@ -646,11 +613,14 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 				}
 				col.inFlight.Exit()
 				out[i] = r
+				if in.Cache != nil {
+					in.Cache.Put(i, &out[i])
+				}
 				col.add(&out[i])
 			}
 		}()
 	}
-	for i := range c.CFiles {
+	for i := range in.Files {
 		work <- i
 	}
 	close(work)
@@ -706,14 +676,13 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 		m.AnalysisByPass = col.anByPass
 	}
 	if cfg.Link {
-		// The join runs after the pool drains, over facts in corpus order —
-		// worker scheduling cannot reach it, so the findings are a pure
-		// function of the inputs at any Jobs/ParseWorkers combination.
-		var facts []*link.Facts
+		// The join runs once, after the pool drains, over cached and fresh
+		// facts in input order — worker scheduling cannot reach it, so the
+		// findings are a pure function of the inputs at any Jobs/ParseWorkers
+		// combination. link.Link skips the nil facts of failed units.
+		facts := make([]*link.Facts, len(out))
 		for i := range out {
-			if out[i].LinkFacts != nil {
-				facts = append(facts, out[i].LinkFacts)
-			}
+			facts[i] = out[i].LinkFacts
 		}
 		var canon *hcache.Canon
 		if hc != nil {
@@ -773,8 +742,8 @@ func (r *UnitResult) unhealthy() bool {
 // runUnitSafe is runUnit behind a panic barrier: a poisoned unit (lexer
 // panic, grammar bug, injected fault) is recorded as that unit's failure —
 // with the unit path and goroutine stack — instead of crashing the whole
-// corpus run.
-func runUnitSafe(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) (res UnitResult) {
+// run.
+func runUnitSafe(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) (res UnitResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = UnitResult{
@@ -785,17 +754,17 @@ func runUnitSafe(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fm
 			}
 		}
 	}()
-	return runUnit(ctx, c, cfg, parser, hc, cf)
+	return runUnit(ctx, fs, cfg, parser, hc, cf)
 }
 
-func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) UnitResult {
+func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) UnitResult {
 	if testHookUnitStart != nil {
 		testHookUnitStart(cf)
 	}
 	// Every unit gets its own budget even when all limits are zero: the
 	// budget carries the run context into the stage loop heads, so
 	// cancelling the run abandons in-flight units, not just queued ones.
-	budget := guard.New(ctx, cfg.limits())
+	budget := guard.New(ctx, cfg.Budget)
 	faultinject.At(faultinject.PointHarnessUnit, cf, budget)
 	parser.Budget = budget
 	// Each unit gets a fresh tool so that condition-space growth (BDD node
@@ -803,15 +772,14 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 	// per-compilation-unit latency measurements — and so that units share
 	// no mutable state and can run on any worker.
 	tool := core.New(core.Config{
-		FS:           c.FS,
-		IncludePaths: cfg.includePaths(),
+		FS:           fs,
+		IncludePaths: cfg.IncludePaths,
 		CondMode:     cfg.Mode,
 		Parser:       &parser,
 		SingleConfig: cfg.Single,
 		Defines:      cfg.Defines,
 		HeaderCache:  hc,
 		Budget:       budget,
-		NoStream:     cfg.noStream(),
 	})
 	start := time.Now()
 	unit, err := tool.Preprocess(cf)
@@ -836,8 +804,13 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 	res.LexTime = unit.Stats.LexTime
 	res.PreTime = preTotal - unit.Stats.LexTime
 	res.TotalTime = preTotal + res.ParseTime
+	res.PreDiags = unit.Diags
+	for _, d := range parse.Diags {
+		res.ParseErrs = append(res.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
+			d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg))
+	}
 	if parse.AST != nil {
-		res.ChoiceNodes = parse.AST.CountChoices()
+		res.ASTNodes, res.ChoiceNodes = parse.AST.Counts()
 	}
 	if bf := tool.Space().BDD(); bf != nil {
 		res.BDDNodes = bf.NumNodes()
@@ -850,25 +823,14 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 	hot := tool.Space().Hot
 	res.CondOps = hot.Ops
 	res.CondFastPaths = hot.FastPaths
+	// Analysis and link extraction run under the same per-unit budget: a
+	// trip degrades to the work already completed, never hangs the unit.
+	au := &analysis.Unit{File: cf, Space: tool.Space(), AST: parse.AST, PP: unit, Budget: budget}
 	if len(cfg.Analyzers) > 0 {
-		// Analysis runs under the same per-unit budget: a trip degrades to
-		// the passes already completed, never hangs the unit.
-		res.Analysis = analysis.Run(&analysis.Unit{
-			File:   cf,
-			Space:  tool.Space(),
-			AST:    parse.AST,
-			PP:     unit,
-			Budget: budget,
-		}, cfg.Analyzers)
+		res.Analysis = analysis.Run(au, cfg.Analyzers)
 	}
 	if cfg.Link && parse.AST != nil {
-		res.LinkFacts = analysis.ExtractLinkFacts(&analysis.Unit{
-			File:   cf,
-			Space:  tool.Space(),
-			AST:    parse.AST,
-			PP:     unit,
-			Budget: budget,
-		})
+		res.LinkFacts = analysis.ExtractLinkFacts(au)
 	}
 	res.Budget = budget.Trip()
 	return res
@@ -1004,33 +966,41 @@ type Figure8Row struct {
 }
 
 // Figure8 measures subparser counts per main-loop iteration for every
-// optimization level (paper Figure 8a).
-func Figure8(c *corpus.Corpus, killSwitch int) []Figure8Row {
+// optimization level (paper Figure 8a), each level a run of base.
+func Figure8(c *corpus.Corpus, base RunConfig, killSwitch int) []Figure8Row {
 	var rows []Figure8Row
 	for _, lv := range Levels {
-		results := Run(c, RunConfig{Parser: lv.Opts, KillSwitch: killSwitch})
-		agg := &stats.Sample{}
-		killed := 0
-		for i := range results {
-			if results[i].Killed {
-				killed++
-				continue
-			}
-			for count, iters := range results[i].Parse.SubparserHist {
-				for k := 0; k < iters; k++ {
-					agg.AddInt(count)
-				}
-			}
-		}
+		agg, killed, total := levelSample(c, base, lv, killSwitch)
 		rows = append(rows, Figure8Row{
 			Name:        lv.Name,
 			P99:         int(agg.Percentile(0.99)),
 			Max:         int(agg.Max()),
 			KilledUnits: killed,
-			TotalUnits:  len(results),
+			TotalUnits:  total,
 		})
 	}
 	return rows
+}
+
+// levelSample runs base at one optimization level and pools the subparser
+// counts of every iteration of every unit that stayed under the kill switch.
+func levelSample(c *corpus.Corpus, base RunConfig, lv Level, killSwitch int) (agg *stats.Sample, killed, total int) {
+	base.Parser = lv.Opts
+	base.Parser.KillSwitch = killSwitch
+	results := Run(c, base)
+	agg = &stats.Sample{}
+	for i := range results {
+		if results[i].Killed {
+			killed++
+			continue
+		}
+		for count, iters := range results[i].Parse.SubparserHist {
+			for k := 0; k < iters; k++ {
+				agg.AddInt(count)
+			}
+		}
+	}
+	return agg, killed, len(results)
 }
 
 // RenderFigure8a prints Figure 8a's table.
@@ -1053,28 +1023,15 @@ func RenderFigure8a(rows []Figure8Row, killSwitch int) string {
 // counts (paper Figure 8b). The MAPR rows are omitted: their distributions
 // are dominated by kill-switch aborts (see Figure 8a), and Figure 8b's
 // point in the paper is the separation between the FMLR levels.
-func Figure8b(c *corpus.Corpus, killSwitch, points int) string {
+func Figure8b(c *corpus.Corpus, base RunConfig, killSwitch, points int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8b: cumulative distribution of subparser counts per iteration\n")
 	for _, lv := range Levels {
 		if lv.Opts.NoChoiceMerge {
 			continue // MAPR baselines: see Figure 8a
 		}
-		results := Run(c, RunConfig{Parser: lv.Opts, KillSwitch: killSwitch})
-		agg := &stats.Sample{}
-		killed := 0
-		for i := range results {
-			if results[i].Killed {
-				killed++
-				continue
-			}
-			for count, iters := range results[i].Parse.SubparserHist {
-				for k := 0; k < iters; k++ {
-					agg.AddInt(count)
-				}
-			}
-		}
-		if killed == len(results) {
+		agg, killed, total := levelSample(c, base, lv, killSwitch)
+		if killed == total {
 			fmt.Fprintf(&b, "%s: all units exceeded the kill switch\n", lv.Name)
 			continue
 		}
@@ -1091,10 +1048,10 @@ type Figure9Result struct {
 	TypeChef *stats.Sample
 }
 
-// Figure9 runs both tools over the corpus.
-func Figure9(c *corpus.Corpus) Figure9Result {
-	superc := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
-	chef := Run(c, RunConfig{Mode: cond.ModeSAT, Parser: fmlr.OptFollowOnly})
+// Figure9 runs both tools over the corpus as arms of base.
+func Figure9(c *corpus.Corpus, base RunConfig) Figure9Result {
+	superc := Run(c, arm(base, cond.ModeBDD, fmlr.OptAll))
+	chef := Run(c, arm(base, cond.ModeSAT, fmlr.OptFollowOnly))
 	r := Figure9Result{SuperC: &stats.Sample{}, TypeChef: &stats.Sample{}}
 	for i := range superc {
 		r.SuperC.AddDuration(superc[i].TotalTime)
@@ -1103,6 +1060,12 @@ func Figure9(c *corpus.Corpus) Figure9Result {
 		r.TypeChef.AddDuration(chef[i].TotalTime)
 	}
 	return r
+}
+
+// arm is base with the given condition representation and parser level.
+func arm(base RunConfig, mode cond.Mode, parser fmlr.Options) RunConfig {
+	base.Mode, base.Parser = mode, parser
+	return base
 }
 
 // RenderFigure9 prints the latency comparison in the paper's style.
@@ -1129,9 +1092,9 @@ func RenderFigure9(r Figure9Result, points int) string {
 }
 
 // Figure10 renders the SuperC latency breakdown by stage against
-// compilation-unit size (paper Figure 10).
-func Figure10(c *corpus.Corpus) string {
-	results := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
+// compilation-unit size (paper Figure 10), measured in a run of base.
+func Figure10(c *corpus.Corpus, base RunConfig) string {
+	results := Run(c, arm(base, cond.ModeBDD, fmlr.OptAll))
 	sort.Slice(results, func(i, j int) bool { return results[i].Bytes < results[j].Bytes })
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10: SuperC latency breakdown per compilation unit (sorted by size)\n")
@@ -1147,9 +1110,11 @@ func Figure10(c *corpus.Corpus) string {
 }
 
 // GccBaseline measures single-configuration processing (the paper's gcc
-// comparison: one branch per conditional, concrete macro table).
-func GccBaseline(c *corpus.Corpus, defines map[string]string) (*stats.Sample, []UnitResult) {
-	results := Run(c, RunConfig{Single: true, Defines: defines, Parser: fmlr.OptAll})
+// comparison: one branch per conditional, concrete macro table) as an arm
+// of base.
+func GccBaseline(c *corpus.Corpus, base RunConfig, defines map[string]string) (*stats.Sample, []UnitResult) {
+	base.Parser, base.Single, base.Defines = fmlr.OptAll, true, defines
+	results := Run(c, base)
 	s := &stats.Sample{}
 	for i := range results {
 		s.AddDuration(results[i].TotalTime)
@@ -1158,9 +1123,9 @@ func GccBaseline(c *corpus.Corpus, defines map[string]string) (*stats.Sample, []
 }
 
 // RenderGcc prints the single-configuration comparison.
-func RenderGcc(c *corpus.Corpus) string {
-	single, _ := GccBaseline(c, map[string]string{"CONFIG_64BIT": "1", "CONFIG_KERNEL_MODE": "1"})
-	full := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
+func RenderGcc(c *corpus.Corpus, base RunConfig) string {
+	single, _ := GccBaseline(c, base, map[string]string{"CONFIG_64BIT": "1", "CONFIG_KERNEL_MODE": "1"})
+	full := Run(c, arm(base, cond.ModeBDD, fmlr.OptAll))
 	fullS := &stats.Sample{}
 	for i := range full {
 		fullS.AddDuration(full[i].TotalTime)
