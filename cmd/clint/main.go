@@ -45,18 +45,8 @@ import (
 	"repro/internal/link"
 )
 
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
-	var includes, defines stringList
-	flag.Var(&includes, "I", "include search path (repeatable)")
-	flag.Var(&defines, "D", "macro definition NAME or NAME=VALUE (repeatable)")
+	source := harness.FlagSource(flag.CommandLine)
 	mode := flag.String("mode", "bdd", "presence-condition representation: bdd or sat")
 	format := flag.String("format", "text", "output format: text, json, or sarif")
 	passNames := flag.String("passes", "", "comma-separated pass names (default: all)")
@@ -65,7 +55,7 @@ func main() {
 	showStats := flag.Bool("stats", false, "print per-unit analysis statistics to stderr")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); falls back in-process if unreachable")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
+	openStore := harness.FlagStore(flag.CommandLine)
 	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
@@ -111,23 +101,12 @@ func main() {
 		}
 	}
 
-	defs := map[string]string{}
-	for _, d := range defines {
-		name, val := d, "1"
-		if i := strings.IndexByte(d, '='); i >= 0 {
-			name, val = d[:i], d[i+1:]
-		}
-		defs[name] = val
+	if err := openStore(); err != nil {
+		fmt.Fprintln(os.Stderr, "clint:", err)
+		os.Exit(1)
 	}
-	if *storeDir != "" && !cfg.NoHeaderCache {
-		if _, err := harness.UseStore(*storeDir, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "clint:", err)
-			os.Exit(1)
-		}
-	}
+	source(&cfg)
 	cfg.Mode = condMode
-	cfg.IncludePaths = includes
-	cfg.Defines = defs
 	cfg.Analyzers = selected
 	cfg.Link = *doLink
 

@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
@@ -38,52 +36,26 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the harness metrics snapshot after the Table 3 sweep")
 	analyze := flag.Bool("analyze", false, "run the variability analysis passes during the Table 3 sweep and print diagnostics")
 	doLink := flag.Bool("link", false, "extract conditional link facts during the Table 3 sweep and print cross-unit findings (runs in-process: the synthetic corpus is in-memory)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfile := harness.FlagProfile(flag.CommandLine)
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
 	daemonAddr := flag.String("daemon", "", "serve the Table 3 sweep from a superd daemon at this address; falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
+	openStore := harness.FlagStore(flag.CommandLine)
 	runConfig := harness.FlagRunConfig(flag.CommandLine)
 	flag.Parse()
 
 	base := runConfig()
 	base.Quarantine = *quarantine
-	if *storeDir != "" {
-		if _, err := harness.UseStore(*storeDir, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "cstats:", err)
-			os.Exit(1)
-		}
+	if err := openStore(); err != nil {
+		fmt.Fprintln(os.Stderr, "cstats:", err)
+		os.Exit(1)
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := startProfile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-	}()
+	defer stopProfile()
 
 	c := corpus.Generate(corpus.Params{Seed: *seed, CFiles: *cfiles, GenHeaders: *headers})
 

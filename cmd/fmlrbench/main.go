@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -56,8 +55,7 @@ func main() {
 	headers := flag.Int("headers", 24, "number of generated headers")
 	kill := flag.Int("kill", 1000, "subparser kill switch for the MAPR rows")
 	points := flag.Int("points", 10, "CDF resolution")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfile := harness.FlagProfile(flag.CommandLine)
 	benchJSON := flag.String("bench-json", "", "skip the figures; benchmark the parse stage per optimization level and write the JSON baseline to this file")
 	storeDir := flag.String("store", "", "artifact store directory for the -bench-json warm-run measurement (empty: a throwaway temp dir)")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
@@ -67,34 +65,12 @@ func main() {
 	base := runConfig()
 	base.Quarantine = *quarantine
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := startProfile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-	}()
+	defer stopProfile()
 
 	c := corpus.Generate(corpus.Params{Seed: *seed, CFiles: *cfiles, GenHeaders: *headers})
 

@@ -3,12 +3,14 @@
 // static variability, and reports the AST, per-configuration projections,
 // and instrumentation statistics.
 //
-// Given multiple files, units are processed on a worker pool (-j wide,
-// GOMAXPROCS by default) with per-file output buffered and printed in
-// argument order; -check forces sequential processing because the
-// cross-unit conflict index shares one presence-condition space. The C
-// parse tables are loaded from the on-disk cache after the first run
-// (-no-table-cache rebuilds them).
+// The summary (the default) runs the units on the harness's worker pool
+// (-j wide, GOMAXPROCS by default), each in its own tool, and prints them
+// in argument order. -ast, -print, -project, -rename and -check need the
+// live condition space, and -check compares conditions across units, so
+// they run the units in order on one tool. Every path, -daemon included,
+// renders its summary through one renderer. The C parse tables are loaded
+// from the on-disk cache after the first run (-no-table-cache rebuilds
+// them).
 //
 // Usage:
 //
@@ -27,15 +29,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cgrammar"
@@ -45,196 +44,156 @@ import (
 	"repro/internal/fmlr"
 	"repro/internal/guard"
 	"repro/internal/harness"
-	"repro/internal/hcache"
-	"repro/internal/preprocessor"
 	"repro/internal/printer"
 	"repro/internal/refactor"
-	"repro/internal/store"
 )
 
-type stringList []string
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
-func main() {
-	var includes, defines stringList
-	flag.Var(&includes, "I", "include search path (repeatable)")
-	flag.Var(&defines, "D", "macro definition NAME or NAME=VALUE (repeatable)")
-	mode := flag.String("mode", "bdd", "presence-condition representation: bdd or sat")
-	opt := flag.String("opt", "all", "parser optimization level: all, sharedlazy, shared, lazy, follow, mapr, mapr-largest")
-	single := flag.Bool("single", false, "single-configuration (gcc-like) mode")
-	printAST := flag.Bool("ast", false, "print the configuration-preserving AST")
-	project := flag.String("project", "", "comma-separated CONFIG vars to enable; prints that configuration's tokens")
-	showStats := flag.Bool("stats", true, "print preprocessing and parsing statistics")
-	check := flag.Bool("check", false, "run configuration-preserving analyses (conflicting definitions, coverage)")
-	printSrc := flag.Bool("print", false, "print the preprocessed unit as conditional C source")
-	rename := flag.String("rename", "", "configuration-preserving rename: OLD=NEW")
-	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); summary mode only, falls back in-process")
-	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
-	runConfig := harness.FlagRunConfig(flag.CommandLine)
-	flag.Parse()
-
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: superc [flags] file.c [file2.c ...]")
-		flag.Usage()
-		os.Exit(2)
+// run is superc's command line over args; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("superc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	source := harness.FlagSource(fs)
+	mode := fs.String("mode", "bdd", "presence-condition representation: bdd or sat")
+	opt := fs.String("opt", "all", "parser optimization level: all, sharedlazy, shared, lazy, follow, mapr, mapr-largest")
+	single := fs.Bool("single", false, "single-configuration (gcc-like) mode")
+	var rich richFlags
+	fs.BoolVar(&rich.ast, "ast", false, "print the configuration-preserving AST")
+	fs.StringVar(&rich.project, "project", "", "comma-separated CONFIG vars to enable; prints that configuration's tokens")
+	showStats := fs.Bool("stats", true, "print preprocessing and parsing statistics")
+	fs.BoolVar(&rich.check, "check", false, "run configuration-preserving analyses (conflicting definitions, coverage)")
+	fs.BoolVar(&rich.print, "print", false, "print the preprocessed unit as conditional C source")
+	fs.StringVar(&rich.rename, "rename", "", "configuration-preserving rename: OLD=NEW")
+	daemonAddr := fs.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); summary mode only, falls back in-process")
+	daemonOpts := daemon.FlagClientOptions(fs)
+	openStore := harness.FlagStore(fs)
+	runConfig := harness.FlagRunConfig(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: superc [flags] file.c [file2.c ...]")
+		fs.PrintDefaults()
+		return 2
 	}
 
 	rc := runConfig()
-	condMode, ok := cond.ModeByName(*mode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "superc: unknown -mode %q\n", *mode)
-		os.Exit(2)
+	var ok bool
+	if rc.Mode, ok = cond.ModeByName(*mode); !ok {
+		fmt.Fprintf(stderr, "superc: unknown -mode %q\n", *mode)
+		return 2
 	}
-	opts, ok := fmlr.OptionsByName(*opt)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "superc: unknown -opt %q\n", *opt)
-		os.Exit(2)
+	if rc.Parser, ok = fmlr.OptionsByName(*opt); !ok {
+		fmt.Fprintf(stderr, "superc: unknown -opt %q\n", *opt)
+		return 2
 	}
-
-	defs := map[string]string{}
-	for _, d := range defines {
-		name, val := d, "1"
-		if i := strings.IndexByte(d, '='); i >= 0 {
-			name, val = d[:i], d[i+1:]
-		}
-		defs[name] = val
+	rc.Single = *single
+	source(&rc)
+	if err := openStore(); err != nil {
+		fmt.Fprintln(stderr, "superc:", err)
+		return 1
 	}
-
-	cfg := core.Config{
-		IncludePaths: includes,
-		Defines:      defs,
-		CondMode:     condMode,
-		Parser:       &opts,
-		SingleConfig: *single,
-		ParseWorkers: rc.ParseWorkers,
-	}
-	if !rc.NoHeaderCache && !*single {
-		// One cache shared by every unit (and every worker: it is
-		// concurrency-safe, unlike the per-unit condition spaces).
-		opts := hcache.Options{}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "superc:", err)
-				os.Exit(1)
-			}
-			opts.Backing = store.NewHeaderBacking(st, preprocessor.PayloadCodec())
-		}
-		cfg.HeaderCache = hcache.New(opts)
-	}
-	ff := fileFlags{
-		printAST: *printAST, project: *project, showStats: *showStats,
-		check: *check, printSrc: *printSrc, rename: *rename,
-		limits: rc.Budget,
-	}
-	files := flag.Args()
+	files := fs.Args()
+	out := summary{stdout: stdout, stderr: stderr, stats: *showStats}
 
 	if *daemonAddr != "" {
-		if *printAST || *project != "" || *check || *printSrc || *rename != "" {
-			fmt.Fprintln(os.Stderr, "superc: -daemon serves summaries only; -ast/-project/-check/-print/-rename run in-process")
-		} else if exit, err := parseViaDaemon(*daemonAddr, *daemonOpts, daemon.ParseRequest{
+		if rich.any() {
+			fmt.Fprintln(stderr, "superc: -daemon serves summaries only; -ast/-project/-check/-print/-rename run in-process")
+		} else if exit, err := out.viaDaemon(*daemonAddr, *daemonOpts, daemon.ParseRequest{
 			Files:        files,
-			IncludePaths: includes,
-			Defines:      defs,
+			IncludePaths: rc.IncludePaths,
+			Defines:      rc.Defines,
 			Mode:         *mode,
 			Opt:          *opt,
-			Single:       *single,
+			Single:       rc.Single,
 			Jobs:         rc.Jobs,
 			ParseWorkers: rc.ParseWorkers,
 			Limits:       daemon.FromGuard(rc.Budget),
-		}, *showStats); err != nil {
-			fmt.Fprintf(os.Stderr, "superc: %v; running in-process\n", err)
+		}); err != nil {
+			fmt.Fprintf(stderr, "superc: %v; running in-process\n", err)
 		} else {
-			os.Exit(exit)
+			return exit
 		}
 	}
-
-	nWorkers := rc.Jobs
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
+	if rich.any() {
+		return rich.run(files, rc, out)
 	}
-	if nWorkers > len(files) {
-		nWorkers = len(files)
-	}
-	if *check && len(files) > 1 && nWorkers > 1 {
-		// The cross-unit conflict index compares presence conditions, and
-		// conditions from different spaces must not mix — so -check keeps
-		// every unit in one tool/space, sequentially.
-		fmt.Fprintln(os.Stderr, "superc: -check shares one condition space across units; forcing -j 1")
-		nWorkers = 1
-	}
-
+	results, m := harness.RunUnits(context.Background(), harness.Units{Files: files}, rc)
 	exit := 0
-	if nWorkers <= 1 {
-		// Sequential: one tool (and one condition space) for every file, as
-		// the cross-unit analyses require.
-		tool := core.New(cfg)
-		ix := analysis.NewIndex(tool.Space())
-		for _, file := range files {
-			exit |= processFile(tool, ix, file, condMode, ff, os.Stdout, os.Stderr)
-		}
-		if *check && len(files) > 1 {
-			// Cross-unit conflicts (same symbol defined in several files under
-			// overlapping conditions).
-			for _, c := range ix.ConflictingDefinitions() {
-				if c.A.File != c.B.File {
-					fmt.Printf("cross-unit conflict: %s defined in %s and %s under %s\n",
-						c.Name, c.A.File, c.B.File, tool.Space().String(c.Under))
-					exit = 1
-				}
-			}
-		}
-		os.Exit(exit)
+	for i := range results {
+		exit |= out.unit(daemon.ParseUnitOf(&results[i]), m.TableCacheState, nil)
 	}
-
-	// Parallel: each file gets its own tool (fresh condition space and
-	// macro table, exactly like the evaluation harness), workers buffer
-	// their output, and buffers are flushed in argument order so the
-	// output is byte-identical to a sequential run.
-	type fileOut struct {
-		stdout, stderr bytes.Buffer
-		exit           int
-	}
-	outs := make([]fileOut, len(files))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				o := &outs[i]
-				tool := core.New(cfg)
-				ix := analysis.NewIndex(tool.Space())
-				o.exit = processFile(tool, ix, files[i], condMode, ff, &o.stdout, &o.stderr)
-			}
-		}()
-	}
-	for i := range files {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i := range outs {
-		io.Copy(os.Stdout, &outs[i].stdout)
-		io.Copy(os.Stderr, &outs[i].stderr)
-		exit |= outs[i].exit
-	}
-	os.Exit(exit)
+	return exit
 }
 
-// parseViaDaemon serves the batch from a superd daemon and renders each
-// unit's summary exactly as processFile does — the wire carries the
-// deterministic statistics and pre-rendered space-tied diagnostics. The
-// "tables:" line reflects the daemon's parse-table cache (the client loads
-// no tables in daemon mode).
-func parseViaDaemon(addr string, opts daemon.ClientOptions, req daemon.ParseRequest, showStats bool) (int, error) {
+// summary is superc's one per-unit renderer: the runner's units, the rich
+// modes' units and the daemon's units all print through unit, so their
+// output agrees by construction.
+type summary struct {
+	stdout, stderr io.Writer
+	stats          bool
+}
+
+// unit reports u: its diagnostics on stderr, then between's output (if
+// between returns false the unit ends there with status 1), then its
+// statistics on stdout. tables is the parse-table cache state. It returns
+// the unit's exit status.
+func (s summary) unit(u daemon.ParseUnit, tables string, between func() bool) int {
+	if u.Err != "" {
+		fmt.Fprintf(s.stderr, "superc: %s\n", u.Err)
+		return 1
+	}
+	exit := 0
+	for _, d := range u.PreDiags {
+		fmt.Fprintln(s.stderr, d)
+		if !d.Warning {
+			exit = 1
+		}
+	}
+	for _, line := range u.ParseErrs {
+		fmt.Fprintln(s.stderr, line)
+		exit = 1
+	}
+	if u.Killed {
+		fmt.Fprintln(s.stderr, "superc: subparser kill switch tripped")
+		exit = 1
+	}
+	if u.BudgetErr != "" {
+		fmt.Fprintf(s.stderr, "superc: %s: degraded to partial result: %s\n", u.File, u.BudgetErr)
+		exit = 1
+	}
+	if between != nil && !between() {
+		return 1
+	}
+	if s.stats {
+		us := u.Pre
+		fmt.Fprintf(s.stdout, "preprocess: %d bytes, %d tokens, %d directives, %d defines, %d invocations (%d nested, %d trimmed, %d hoisted), %d includes, %d conditionals (depth %d)\n",
+			us.Bytes, us.Tokens, us.Directives, us.MacroDefinitions,
+			us.Invocations, us.NestedInvocations, us.TrimmedInvocations, us.HoistedInvocations,
+			us.Includes, us.Conditionals, us.MaxCondDepth)
+		if u.HasAST {
+			p := u.Parse
+			fmt.Fprintf(s.stdout, "parse: %d iterations, max %d subparsers (p99 %d), %d forks, %d merges, %d typedef forks; AST: %d nodes, %d choice nodes\n",
+				p.Iterations, p.MaxSubparsers, p.P99, p.Forks, p.Merges, p.TypedefForks,
+				p.ASTNodes, p.ChoiceNodes)
+		}
+		fmt.Fprintf(s.stdout, "tables: cache %s\n", tables)
+	}
+	if !u.HasAST {
+		fmt.Fprintln(s.stderr, "superc: no configuration parsed successfully")
+		exit = 1
+	}
+	return exit
+}
+
+// viaDaemon serves the batch from a superd daemon. The "tables:" line
+// reflects the daemon's parse-table cache (the client loads no tables in
+// daemon mode).
+func (s summary) viaDaemon(addr string, opts daemon.ClientOptions, req daemon.ParseRequest) (int, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
 		return 0, err
@@ -245,171 +204,124 @@ func parseViaDaemon(addr string, opts daemon.ClientOptions, req daemon.ParseRequ
 	}
 	exit := 0
 	for _, u := range resp.Units {
-		if u.Err != "" {
-			fmt.Fprintf(os.Stderr, "superc: %s\n", u.Err)
-			exit = 1
-			continue
-		}
-		for _, d := range u.PreDiags {
-			fmt.Fprintln(os.Stderr, d)
-			if !d.Warning {
-				exit = 1
-			}
-		}
-		for _, line := range u.ParseErrs {
-			fmt.Fprintln(os.Stderr, line)
-			exit = 1
-		}
-		if u.Killed {
-			fmt.Fprintln(os.Stderr, "superc: subparser kill switch tripped")
-			exit = 1
-		}
-		if u.BudgetErr != "" {
-			fmt.Fprintf(os.Stderr, "superc: %s: degraded to partial result: %s\n", u.File, u.BudgetErr)
-			exit = 1
-		}
-		if showStats {
-			us := u.Pre
-			fmt.Printf("preprocess: %d bytes, %d tokens, %d directives, %d defines, %d invocations (%d nested, %d trimmed, %d hoisted), %d includes, %d conditionals (depth %d)\n",
-				us.Bytes, us.Tokens, us.Directives, us.MacroDefinitions,
-				us.Invocations, us.NestedInvocations, us.TrimmedInvocations, us.HoistedInvocations,
-				us.Includes, us.Conditionals, us.MaxCondDepth)
-			if u.HasAST {
-				p := u.Parse
-				fmt.Printf("parse: %d iterations, max %d subparsers (p99 %d), %d forks, %d merges, %d typedef forks; AST: %d nodes, %d choice nodes\n",
-					p.Iterations, p.MaxSubparsers, p.P99, p.Forks, p.Merges, p.TypedefForks,
-					p.ASTNodes, p.ChoiceNodes)
-			}
-			fmt.Printf("tables: cache %s\n", resp.TableCache)
-		}
-		if !u.HasAST {
-			fmt.Fprintln(os.Stderr, "superc: no configuration parsed successfully")
-			exit = 1
-		}
+		exit |= s.unit(u, resp.TableCache, nil)
 	}
 	return exit, nil
 }
 
-// fileFlags carries the per-file output options.
-type fileFlags struct {
-	printAST  bool
-	project   string
-	showStats bool
-	check     bool
-	printSrc  bool
-	rename    string
-	limits    guard.Limits // per-unit resource budget (-timeout, -budget-*)
+// richFlags are the modes that need the live tool and condition space.
+type richFlags struct {
+	ast, print, check bool
+	project, rename   string
 }
 
-func processFile(tool *core.Tool, ix *analysis.Index, file string, condMode cond.Mode, ff fileFlags, stdout, stderr io.Writer) int {
-	if !ff.limits.Zero() {
-		// Fresh budget per unit: the sequential path reuses one tool across
-		// files, and budgets are single-use.
-		tool.SetBudget(guard.New(context.Background(), ff.limits))
-	}
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		fmt.Fprintf(stderr, "superc: %v\n", err)
-		return 1
-	}
-	printAST, project, showStats, check := ff.printAST, ff.project, ff.showStats, ff.check
+func (f richFlags) any() bool {
+	return f.ast || f.print || f.check || f.project != "" || f.rename != ""
+}
 
+// run processes files in order on one tool: one condition space for every
+// unit, as -check's cross-unit conflict index requires.
+func (f richFlags) run(files []string, rc harness.RunConfig, out summary) int {
+	tool := harness.NewTool(rc)
+	space := tool.Space()
+	ix := analysis.NewIndex(space)
 	exit := 0
-	for _, d := range res.Unit.Diags {
-		fmt.Fprintln(stderr, d)
-		if !d.Warning {
-			exit = 1
+	for _, file := range files {
+		// Budgets are single-use: every unit gets a fresh one.
+		tool.SetBudget(guard.New(context.Background(), rc.Budget))
+		res, err := tool.ParseFile(file)
+		if err != nil {
+			exit |= out.unit(daemon.ParseUnit{File: file, Err: err.Error()}, "", nil)
+			continue
+		}
+		r := harness.ResultOf(file, space, res.Unit, res.Parse)
+		r.Budget = tool.Budget().Trip()
+		printed := true
+		exit |= out.unit(daemon.ParseUnitOf(&r), cgrammar.TableCacheState(), func() bool {
+			printed = f.printUnit(tool, res, out)
+			return printed
+		})
+		if printed && res.AST != nil && f.check {
+			exit |= f.checkUnit(space, ix, file, res, rc.Mode, out.stdout)
 		}
 	}
-	for _, d := range res.Parse.Diags {
-		fmt.Fprintf(stderr, "%s: parse error under %s: %s\n",
-			d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg)
-		exit = 1
+	if f.check && len(files) > 1 {
+		// Cross-unit conflicts: the same symbol defined in several files
+		// under overlapping conditions.
+		for _, c := range ix.ConflictingDefinitions() {
+			if c.A.File != c.B.File {
+				fmt.Fprintf(out.stdout, "cross-unit conflict: %s defined in %s and %s under %s\n",
+					c.Name, c.A.File, c.B.File, space.String(c.Under))
+				exit = 1
+			}
+		}
 	}
-	if res.Parse.Killed {
-		fmt.Fprintln(stderr, "superc: subparser kill switch tripped")
-		exit = 1
-	}
-	if d := tool.Budget().Trip(); d != nil {
-		fmt.Fprintf(stderr, "superc: %s: degraded to partial result: %v\n", file, d)
-		exit = 1
-	}
+	return exit
+}
 
-	if res.AST != nil && printAST {
-		fmt.Fprintln(stdout, res.AST.StringWithConds(tool.Space()))
+// printUnit prints one unit's AST, source, rename and projection; it returns
+// false when the rename cannot be applied.
+func (f richFlags) printUnit(tool *core.Tool, res *core.Result, out summary) bool {
+	space := tool.Space()
+	if res.AST != nil && f.ast {
+		fmt.Fprintln(out.stdout, res.AST.StringWithConds(space))
 	}
-	if ff.printSrc {
-		fmt.Fprint(stdout, printer.Forest(tool.Space(), res.Unit.EnsureSegments(), printer.Options{}))
+	if f.print {
+		fmt.Fprint(out.stdout, printer.Forest(space, res.Unit.EnsureSegments(), printer.Options{}))
 	}
-	if res.AST != nil && ff.rename != "" {
-		parts := strings.SplitN(ff.rename, "=", 2)
-		if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-			fmt.Fprintln(stderr, "superc: -rename wants OLD=NEW")
-			return 1
+	if res.AST != nil && f.rename != "" {
+		from, to, ok := strings.Cut(f.rename, "=")
+		if !ok || from == "" || to == "" {
+			fmt.Fprintln(out.stderr, "superc: -rename wants OLD=NEW")
+			return false
 		}
-		if col := refactor.CheckCollisions(tool.Space(), res.AST, parts[0], parts[1]); len(col) > 0 {
-			fmt.Fprintf(stderr, "superc: rename collides under %s\n", tool.Space().String(col[0].Cond))
-			return 1
+		if col := refactor.CheckCollisions(space, res.AST, from, to); len(col) > 0 {
+			fmt.Fprintf(out.stderr, "superc: rename collides under %s\n", space.String(col[0].Cond))
+			return false
 		}
-		renamed, rep := refactor.Rename(tool.Space(), res.AST, parts[0], parts[1])
-		fmt.Fprintf(stderr, "superc: %s\n", rep)
-		fmt.Fprint(stdout, printer.AST(tool.Space(), renamed, printer.Options{}))
+		renamed, rep := refactor.Rename(space, res.AST, from, to)
+		fmt.Fprintf(out.stderr, "superc: %s\n", rep)
+		fmt.Fprint(out.stdout, printer.AST(space, renamed, printer.Options{}))
 	}
-	if res.AST != nil && project != "" {
+	if res.AST != nil && f.project != "" {
 		assign := map[string]bool{}
-		for _, v := range strings.Split(project, ",") {
-			v = strings.TrimSpace(v)
-			if v != "" {
+		for _, v := range strings.Split(f.project, ",") {
+			if v = strings.TrimSpace(v); v != "" {
 				assign["(defined "+v+")"] = true
 			}
 		}
-		proj := tool.Project(res, assign)
 		var texts []string
-		for _, tk := range proj.Tokens() {
+		for _, tk := range tool.Project(res, assign).Tokens() {
 			texts = append(texts, tk.Text)
 		}
-		fmt.Fprintln(stdout, strings.Join(texts, " "))
+		fmt.Fprintln(out.stdout, strings.Join(texts, " "))
 	}
-	if showStats {
-		u := res.Unit.Stats
-		p := res.Parse.Stats
-		fmt.Fprintf(stdout, "preprocess: %d bytes, %d tokens, %d directives, %d defines, %d invocations (%d nested, %d trimmed, %d hoisted), %d includes, %d conditionals (depth %d)\n",
-			u.Bytes, u.Tokens, u.Directives, u.MacroDefinitions,
-			u.Invocations, u.NestedInvocations, u.TrimmedInvocations, u.HoistedInvocations,
-			u.Includes, u.Conditionals, u.MaxCondDepth)
-		if res.AST != nil {
-			nodes, choices := res.AST.Counts()
-			fmt.Fprintf(stdout, "parse: %d iterations, max %d subparsers (p99 %d), %d forks, %d merges, %d typedef forks; AST: %d nodes, %d choice nodes\n",
-				p.Iterations, p.MaxSubparsers, p.Percentile(0.99), p.Forks, p.Merges, p.TypedefForks,
-				nodes, choices)
-		}
-		fmt.Fprintf(stdout, "tables: cache %s\n", cgrammar.TableCacheState())
+	return true
+}
+
+// checkUnit reports one unit's conflicting definitions and, in BDD mode, its
+// partial-coverage symbols, and adds the unit to the cross-unit index.
+func (f richFlags) checkUnit(space *cond.Space, ix *analysis.Index, file string, res *core.Result, mode cond.Mode, stdout io.Writer) int {
+	unitIx := analysis.NewIndex(space)
+	unitIx.AddUnit(file, res.AST)
+	ix.AddUnit(file, res.AST)
+	exit := 0
+	conflicts := unitIx.ConflictingDefinitions()
+	for _, c := range conflicts {
+		fmt.Fprintf(stdout, "conflict: %s (%s) defined twice under %s\n",
+			c.Name, c.A.Kind, space.String(c.Under))
+		exit = 1
 	}
-	if res.AST != nil && check {
-		unitIx := analysis.NewIndex(tool.Space())
-		unitIx.AddUnit(file, res.AST)
-		ix.AddUnit(file, res.AST)
-		conflicts := unitIx.ConflictingDefinitions()
-		for _, c := range conflicts {
-			fmt.Fprintf(stdout, "conflict: %s (%s) defined twice under %s\n",
-				c.Name, c.A.Kind, tool.Space().String(c.Under))
-			exit = 1
-		}
-		if len(conflicts) == 0 {
-			fmt.Fprintf(stdout, "check: %s: no conflicting definitions\n", file)
-		}
-		if condMode == cond.ModeBDD {
-			for _, cov := range unitIx.CoverageReport() {
-				if cov.Fraction < 1 {
-					fmt.Fprintf(stdout, "coverage: %s %s exists in %.1f%% of configurations\n",
-						cov.Symbol.Kind, cov.Symbol.Name, 100*cov.Fraction)
-				}
+	if len(conflicts) == 0 {
+		fmt.Fprintf(stdout, "check: %s: no conflicting definitions\n", file)
+	}
+	if mode == cond.ModeBDD {
+		for _, cov := range unitIx.CoverageReport() {
+			if cov.Fraction < 1 {
+				fmt.Fprintf(stdout, "coverage: %s %s exists in %.1f%% of configurations\n",
+					cov.Symbol.Kind, cov.Symbol.Name, 100*cov.Fraction)
 			}
 		}
-	}
-	if res.AST == nil {
-		fmt.Fprintln(stderr, "superc: no configuration parsed successfully")
-		exit = 1
 	}
 	return exit
 }

@@ -445,7 +445,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		cache = &linkCache{
 			st:    s.cfg.Store,
 			fs:    rootFS{s.cfg.Root},
-			fp:    s.linkFingerprint(req, cfg.Budget),
+			fp:    Version + ";" + cfg.Fingerprint(),
 			files: req.Files,
 			keys:  make([]string, len(req.Files)),
 		}
@@ -527,20 +527,6 @@ func (c *linkCache) Put(i int, r *harness.UnitResult) {
 	}
 }
 
-// linkFingerprint keys the persisted link-fact cache: every request knob
-// that affects one unit's extracted facts, plus the protocol version (fact
-// shapes may change between builds). Jobs and ParseWorkers are deliberately
-// excluded — extraction is deterministic at any worker count.
-func (s *Server) linkFingerprint(req LinkRequest, limits guard.Limits) string {
-	defs := make([]string, 0, len(req.Defines))
-	for k, v := range req.Defines {
-		defs = append(defs, k+"="+v)
-	}
-	sort.Strings(defs)
-	return fmt.Sprintf("%s;mode=%s;inc=%s;defs=%s;limits=%+v",
-		Version, req.Mode, strings.Join(req.IncludePaths, ","), strings.Join(defs, ","), limits)
-}
-
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	s.reqCorpus.Inc()
 	var req CorpusRequest
@@ -560,7 +546,8 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	c := corpus.Generate(corpus.Params{Seed: req.Seed, CFiles: req.CFiles, GenHeaders: req.Headers})
 	cfg.Single = req.Single
 	cfg.Analyzers = analyzers
-	fp := s.factsFingerprint(req, cfg.Budget)
+	fp := fmt.Sprintf("%s;seed=%d;cfiles=%d;headers=%d;%s",
+		Version, req.Seed, req.CFiles, req.Headers, cfg.Fingerprint())
 
 	resp := CorpusResponse{Units: make([]CorpusUnit, len(c.CFiles))}
 	var missing []int
@@ -592,19 +579,6 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	s.factsMisses.Add(resp.FactsMisses)
 	s.units.Add(int64(len(c.CFiles)))
 	writeJSON(w, &resp)
-}
-
-// factsFingerprint keys the facts cache: every request knob that affects a
-// unit's deterministic result, plus the protocol version (result shapes may
-// change between builds). ParseWorkers is deliberately excluded: the
-// region-parallel strategy is proven equivalent to sequential, so the
-// deterministic facts are identical at every worker count.
-func (s *Server) factsFingerprint(req CorpusRequest, limits guard.Limits) string {
-	names := append([]string(nil), req.Passes...)
-	sort.Strings(names)
-	return fmt.Sprintf("%s;seed=%d;cfiles=%d;headers=%d;mode=%s;opt=%s;single=%t;passes=%s;limits=%+v",
-		Version, req.Seed, req.CFiles, req.Headers, req.Mode, req.Opt, req.Single,
-		strings.Join(names, ","), limits)
 }
 
 // counters collects every exposed counter under stable names.

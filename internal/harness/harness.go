@@ -165,6 +165,40 @@ type RunConfig struct {
 	Link bool
 }
 
+// Fingerprint keys caches of per-unit results. It renders every field
+// that can change a unit's result: the condition mode, the parser level and
+// kill switch, Single, Defines, IncludePaths, the analyzer names, Link and
+// the Budget limits. Jobs, ParseWorkers, HeaderCache and NoHeaderCache
+// leave results identical, and Quarantine only retries units that failed,
+// so they are left out. Callers add what the config does not name, such as
+// the inputs and their own format version.
+func (cfg RunConfig) Fingerprint() string {
+	parser := cfg.Parser
+	parser.Budget, parser.ParseWorkers, parser.NoStream = nil, 0, false
+	defs := make([]string, 0, len(cfg.Defines))
+	for k, v := range cfg.Defines {
+		defs = append(defs, k+"="+v)
+	}
+	sort.Strings(defs)
+	passes := make([]string, len(cfg.Analyzers))
+	for i, a := range cfg.Analyzers {
+		passes[i] = a.Name
+	}
+	sort.Strings(passes)
+	return fmt.Sprintf("mode=%d;parser=%+v;single=%t;defs=%q;inc=%q;passes=%q;link=%t;limits=%+v",
+		cfg.Mode, parser, cfg.Single, defs, cfg.IncludePaths, passes, cfg.Link, cfg.Budget)
+}
+
+// parser resolves the parser options: cfg.ParseWorkers applies unless the
+// options set their own.
+func (cfg RunConfig) parser() fmlr.Options {
+	p := cfg.Parser
+	if p.ParseWorkers == 0 {
+		p.ParseWorkers = cfg.ParseWorkers
+	}
+	return p
+}
+
 // jobs resolves the effective worker count for n units.
 func (cfg RunConfig) jobs(n int) int {
 	j := cfg.Jobs
@@ -562,10 +596,7 @@ type UnitCache interface {
 // cancelled, units not yet started are recorded as failed with Err
 // "run cancelled" and the call returns after in-flight units finish.
 func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metrics) {
-	parser := cfg.Parser
-	if parser.ParseWorkers == 0 {
-		parser.ParseWorkers = cfg.ParseWorkers
-	}
+	parser := cfg.parser()
 	jobs := cfg.jobs(len(in.Files))
 	out := make([]UnitResult, len(in.Files))
 	col := newCollector()
@@ -771,58 +802,22 @@ func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, par
 	// tables, SAT statistics) is attributed per unit, as in the paper's
 	// per-compilation-unit latency measurements — and so that units share
 	// no mutable state and can run on any worker.
-	tool := core.New(core.Config{
-		FS:           fs,
-		IncludePaths: cfg.IncludePaths,
-		CondMode:     cfg.Mode,
-		Parser:       &parser,
-		SingleConfig: cfg.Single,
-		Defines:      cfg.Defines,
-		HeaderCache:  hc,
-		Budget:       budget,
-	})
+	tool := core.New(cfg.coreConfig(fs, &parser, hc, budget))
 	start := time.Now()
 	unit, err := tool.Preprocess(cf)
 	preTotal := time.Since(start)
-	res := UnitResult{File: cf}
 	if err != nil {
-		res.ParseFail = true
-		res.Err = err.Error()
-		res.Budget = budget.Trip()
-		return res
+		return UnitResult{File: cf, ParseFail: true, Err: err.Error(), Budget: budget.Trip()}
 	}
 	parseStart := time.Now()
 	eng := fmlr.New(tool.Space(), cgrammar.MustLoad(), parser)
 	parse := eng.ParseUnit(unit)
-	res.ParseTime = time.Since(parseStart)
-	res.Bytes = unit.Stats.Bytes
-	res.Tokens = unit.Stats.Tokens
-	res.Pre = unit.Stats
-	res.Parse = parse.Stats
-	res.Killed = parse.Killed
-	res.ParseFail = parse.AST == nil
+	parseTime := time.Since(parseStart)
+	res := ResultOf(cf, tool.Space(), unit, parse)
+	res.ParseTime = parseTime
 	res.LexTime = unit.Stats.LexTime
 	res.PreTime = preTotal - unit.Stats.LexTime
 	res.TotalTime = preTotal + res.ParseTime
-	res.PreDiags = unit.Diags
-	for _, d := range parse.Diags {
-		res.ParseErrs = append(res.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
-			d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg))
-	}
-	if parse.AST != nil {
-		res.ASTNodes, res.ChoiceNodes = parse.AST.Counts()
-	}
-	if bf := tool.Space().BDD(); bf != nil {
-		res.BDDNodes = bf.NumNodes()
-		cs := bf.Stats()
-		res.BDDOpHits = cs.OpHits
-		res.BDDOpMisses = cs.OpMisses
-		res.BDDOpEvictions = cs.OpEvictions
-		res.BDDTableSlots = cs.TableSlots
-	}
-	hot := tool.Space().Hot
-	res.CondOps = hot.Ops
-	res.CondFastPaths = hot.FastPaths
 	// Analysis and link extraction run under the same per-unit budget: a
 	// trip degrades to the work already completed, never hangs the unit.
 	au := &analysis.Unit{File: cf, Space: tool.Space(), AST: parse.AST, PP: unit, Budget: budget}
@@ -834,6 +829,62 @@ func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, par
 	}
 	res.Budget = budget.Trip()
 	return res
+}
+
+// ResultOf records one preprocessed and parsed unit as RunUnits reports it,
+// without the timings, analyses and budget outcome the runner adds.
+// Conditions are rendered in space, the unit's condition space.
+func ResultOf(file string, space *cond.Space, unit *preprocessor.Unit, parse *fmlr.Result) UnitResult {
+	res := UnitResult{
+		File:      file,
+		Bytes:     unit.Stats.Bytes,
+		Tokens:    unit.Stats.Tokens,
+		Pre:       unit.Stats,
+		Parse:     parse.Stats,
+		Killed:    parse.Killed,
+		ParseFail: parse.AST == nil,
+		PreDiags:  unit.Diags,
+	}
+	for _, d := range parse.Diags {
+		res.ParseErrs = append(res.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
+			d.Tok.Pos(), space.String(d.Cond), d.Msg))
+	}
+	if parse.AST != nil {
+		res.ASTNodes, res.ChoiceNodes = parse.AST.Counts()
+	}
+	if bf := space.BDD(); bf != nil {
+		res.BDDNodes = bf.NumNodes()
+		cs := bf.Stats()
+		res.BDDOpHits = cs.OpHits
+		res.BDDOpMisses = cs.OpMisses
+		res.BDDOpEvictions = cs.OpEvictions
+		res.BDDTableSlots = cs.TableSlots
+	}
+	res.CondOps = space.Hot.Ops
+	res.CondFastPaths = space.Hot.FastPaths
+	return res
+}
+
+// NewTool returns one core.Tool configured as RunUnits configures each
+// unit's tool, sharing the run's header cache. It is for callers that need
+// one live condition space across several units (superc's AST, projection,
+// rename and check modes); it attaches no budget.
+func NewTool(cfg RunConfig) *core.Tool {
+	parser := cfg.parser()
+	return core.New(cfg.coreConfig(nil, &parser, cfg.headerCache(), nil))
+}
+
+func (cfg RunConfig) coreConfig(fs preprocessor.FileSystem, parser *fmlr.Options, hc *hcache.Cache, budget *guard.Budget) core.Config {
+	return core.Config{
+		FS:           fs,
+		IncludePaths: cfg.IncludePaths,
+		CondMode:     cfg.Mode,
+		Parser:       parser,
+		SingleConfig: cfg.Single,
+		Defines:      cfg.Defines,
+		HeaderCache:  hc,
+		Budget:       budget,
+	}
 }
 
 // Table2a renders the developer's view of preprocessor usage (paper
