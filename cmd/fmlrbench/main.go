@@ -9,9 +9,9 @@
 // snapshot for one instrumented sweep is printed at the end.
 //
 // -cpuprofile/-memprofile write pprof profiles of whatever the invocation
-// ran; -bench-json measures the parse stage per optimization level with
-// testing.Benchmark and writes the machine-readable baseline documented in
-// EXPERIMENTS.md (§"Parse-stage benchmark baseline").
+// ran; -bench-json measures the lexer per token and the parse stage per
+// optimization level with testing.Benchmark and writes the machine-readable
+// baseline documented in EXPERIMENTS.md (§"Parse-stage benchmark baseline").
 //
 // Usage:
 //
@@ -43,6 +43,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/harness"
 	"repro/internal/hcache"
+	"repro/internal/lexer"
 	"repro/internal/preprocessor"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -56,7 +57,7 @@ func main() {
 	kill := flag.Int("kill", 1000, "subparser kill switch for the MAPR rows")
 	points := flag.Int("points", 10, "CDF resolution")
 	startProfile := harness.FlagProfile(flag.CommandLine)
-	benchJSON := flag.String("bench-json", "", "skip the figures; benchmark the parse stage per optimization level and write the JSON baseline to this file")
+	benchJSON := flag.String("bench-json", "", "skip the figures; benchmark the lexer and the parse stage per optimization level and write the JSON baseline to this file")
 	storeDir := flag.String("store", "", "artifact store directory for the -bench-json warm-run measurement (empty: a throwaway temp dir)")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
 	runConfig := harness.FlagRunConfig(flag.CommandLine)
@@ -206,6 +207,24 @@ type benchStreaming struct {
 	StreamShare         float64 `json:"stream_share"`
 }
 
+// benchLayers holds per-layer costs, normalized per token so layers and
+// input sizes compare directly.
+type benchLayers struct {
+	Lexer []benchLexPoint `json:"lexer"`
+}
+
+// benchLexPoint is lexer.Lex over one input: every file of the benchmark
+// corpus, or one generated giant unit.
+type benchLexPoint struct {
+	Input          string  `json:"input"`
+	Files          int     `json:"files"`
+	Bytes          int     `json:"bytes"`
+	Tokens         int     `json:"tokens"`
+	NsPerToken     float64 `json:"ns_per_token"`
+	AllocsPerToken float64 `json:"allocs_per_token"`
+	BytesPerToken  float64 `json:"bytes_per_token"`
+}
+
 // benchMachine names the machine a baseline was measured on, so numbers
 // from different machines are never compared by accident.
 type benchMachine struct {
@@ -242,6 +261,7 @@ type benchFile struct {
 	CFiles     int             `json:"cfiles"`
 	Headers    int             `json:"headers"`
 	KillSwitch int             `json:"kill_switch"`
+	Layers     benchLayers     `json:"layers"`
 	Levels     []benchLevel    `json:"levels"`
 	Streaming  benchStreaming  `json:"streaming"`
 	Parallel   benchParallel   `json:"parallel"`
@@ -273,6 +293,15 @@ func runBenchJSON(c *corpus.Corpus, base harness.RunConfig, kill int, path, stor
 		Headers:    c.Params.GenHeaders,
 		KillSwitch: kill,
 		Levels:     make([]benchLevel, 0, len(harness.Levels)),
+	}
+	lex, err := runBenchLexer(c)
+	if err != nil {
+		return err
+	}
+	out.Layers.Lexer = lex
+	for _, p := range lex {
+		fmt.Printf("lexer: %-12s %8d tokens %8.1f ns/token %8.4f allocs/token %8.1f B/token\n",
+			p.Input, p.Tokens, p.NsPerToken, p.AllocsPerToken, p.BytesPerToken)
 	}
 	for _, lv := range harness.Levels {
 		opts := lv.Opts
@@ -433,6 +462,50 @@ func runBenchJSON(c *corpus.Corpus, base harness.RunConfig, kill int, path, stor
 	}
 	data = append(data, '\n')
 	return os.WriteFile(path, data, 0o644)
+}
+
+// runBenchLexer times lexer.Lex over the corpus files and over the giant
+// unit at two sizes, so a per-token cost that grows with file size shows.
+func runBenchLexer(c *corpus.Corpus) ([]benchLexPoint, error) {
+	const seed = 42
+	inputs := []struct {
+		name  string
+		files map[string]string
+	}{
+		{"corpus", c.FS},
+		{"giant-i450", map[string]string{"giant.c": corpus.GiantUnit(seed, 450)}},
+		{"giant-i3600", map[string]string{"giant.c": corpus.GiantUnit(seed, 3600)}},
+	}
+	var out []benchLexPoint
+	for _, in := range inputs {
+		names := make([]string, 0, len(in.files))
+		srcs := make([][]byte, 0, len(in.files))
+		p := benchLexPoint{Input: in.name, Files: len(in.files)}
+		for name, body := range in.files {
+			names = append(names, name)
+			srcs = append(srcs, []byte(body))
+			p.Bytes += len(body)
+			toks, err := lexer.Lex(name, srcs[len(srcs)-1])
+			if err != nil {
+				return nil, fmt.Errorf("lex %s: %w", name, err)
+			}
+			p.Tokens += len(toks)
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, src := range srcs {
+					lexer.Lex(names[j], src)
+				}
+			}
+		})
+		tokens := float64(p.Tokens)
+		p.NsPerToken = float64(r.NsPerOp()) / tokens
+		p.AllocsPerToken = float64(r.AllocsPerOp()) / tokens
+		p.BytesPerToken = float64(r.AllocedBytesPerOp()) / tokens
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // runBenchParallel measures the intra-unit scaling curve on the same giant

@@ -7,8 +7,8 @@
 // function of its bytes plus the macro state it observes, which yields two
 // cache levels:
 //
-//   - Level 1 caches the macro-independent work — the lexed token stream,
-//     logical-line segmentation, and include-guard detection — keyed by
+//   - Level 1 caches the macro-independent work — the lexed tokens split
+//     into logical lines, and include-guard detection — keyed by
 //     content hash alone. Tokens are immutable after lexing, so entries are
 //     shared read-only across units and workers.
 //
@@ -56,8 +56,7 @@ func Hash(b []byte) string {
 // processing a file. Everything in it is immutable and shared read-only
 // across units.
 type LexEntry struct {
-	Toks  []token.Token   // lexed tokens, EOF stripped
-	Lines [][]token.Token // logical lines (newlines removed)
+	Lines [][]token.Token // logical lines (newlines removed), views of one lexed array
 	Guard string          // include-guard macro name, "" if none
 	Bytes int             // source size, for the bytes-saved accounting
 }

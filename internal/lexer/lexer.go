@@ -7,6 +7,14 @@
 // Newline tokens so the preprocessor can recognize directive lines. All
 // words lex as identifiers; keywords are reclassified at parse time because
 // the preprocessor may define or expand macros named like keywords.
+//
+// Two scanners share one cursor. fastNext reads raw bytes through class
+// tables and slices token texts out of the file's source string, so a token
+// costs no allocation. It declines any token that touches a backslash that
+// may splice, a lone carriage return, an L"/L' prefix, or an unterminated
+// comment or literal; slowNext, the splice-aware character-at-a-time
+// scanner, lexes those. Both produce identical tokens wherever the fast
+// path applies, which the package's differential fuzz target checks.
 package lexer
 
 import (
@@ -47,10 +55,55 @@ var digraphs = map[string]string{
 	"<%": "{", "%>": "}", "<:": "[", ":>": "]", "%:": "#", "%:%:": "##",
 }
 
-// Lexer scans one file. Create with New, then call Tokens or Next.
+// punct is one punctuator spelling and the text it lexes to.
+type punct struct{ spell, text string }
+
+// Fast-path tables, indexed by byte.
+var (
+	// punctsByFirst holds the punctuators starting with each byte, in the
+	// table's longest-first order, so the first match is the longest.
+	punctsByFirst [256][]punct
+	// otherText is the text of a single-byte Other token: the byte as a
+	// rune, as slowNext's string(c) spells it.
+	otherText [256]string
+	// class marks identifier-start, identifier-continue and pp-number
+	// bytes.
+	class [256]uint8
+)
+
+const (
+	identStart = 1 << iota // [A-Za-z_$]
+	identCont              // identStart or a digit
+	ppNumber               // identCont or '.'
+)
+
+func init() {
+	for _, p := range punctuators {
+		text := p
+		if canon, ok := digraphs[p]; ok {
+			text = canon
+		}
+		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], punct{p, text})
+	}
+	for i := range otherText {
+		c := byte(i)
+		otherText[i] = string(rune(c))
+		switch {
+		case isIdentStart(c):
+			class[i] = identStart | identCont | ppNumber
+		case isIdentCont(c):
+			class[i] = identCont | ppNumber
+		case c == '.':
+			class[i] = ppNumber
+		}
+	}
+}
+
+// Lexer scans one file. Create with New, then call Tokens.
 type Lexer struct {
 	file string
 	src  []byte
+	text string // src as a string; fast-path token texts are substrings of it
 	pos  int
 	line int
 	col  int
@@ -69,7 +122,7 @@ type Lexer struct {
 
 // New returns a lexer over src, reporting positions against file.
 func New(file string, src []byte) *Lexer {
-	return &Lexer{file: file, src: src, line: 1, col: 1}
+	return &Lexer{file: file, src: src, text: string(src), line: 1, col: 1}
 }
 
 // Lex tokenizes the entire source, returning the token slice terminated by
@@ -94,16 +147,23 @@ func (l *Lexer) SetBudget(b *guard.Budget) { l.budget = b }
 
 // Tokens scans all remaining input.
 func (l *Lexer) Tokens() ([]token.Token, error) {
-	var toks []token.Token
+	// Size the result for 2.5 source bytes a token, newlines included:
+	// denser than the generated corpus (3.6), the giant unit (2.7) or the
+	// system headers (7.4), so the array rarely grows. Growing copies every
+	// token, which costs about as much as lexing them.
+	toks := make([]token.Token, 0, (len(l.src)-l.pos)*2/5+1)
 	for {
 		if !l.budget.Charge("lexer", guard.AxisTokens, 1) {
 			return append(toks, token.Token{Kind: token.EOF, File: l.file, Line: l.line, Col: l.col}), nil
 		}
-		t, err := l.Next()
-		if err != nil {
-			return toks, err
+		toks = append(toks, token.Token{})
+		t := &toks[len(toks)-1]
+		if !l.fastNext(t) {
+			var err error
+			if *t, err = l.slowNext(); err != nil {
+				return toks[:len(toks)-1], err
+			}
 		}
-		toks = append(toks, t)
 		if t.Kind == token.EOF {
 			return toks, nil
 		}
@@ -166,8 +226,167 @@ func (l *Lexer) advance() (byte, bool) {
 	}
 }
 
-// Next returns the next token.
-func (l *Lexer) Next() (token.Token, error) {
+// fastNext scans layout and the next token straight from the raw bytes.
+// It reports false, with the token unconsumed, when the token needs
+// slowNext: it touches a backslash that may splice, starts at a lone
+// carriage return, has an L"/L' prefix, or is an unterminated comment or
+// literal. Layout skipped before such a token stays consumed; slowNext
+// resumes from the same cursor state it would have reached itself.
+func (l *Lexer) fastNext(t *token.Token) bool {
+	src := l.src
+	for {
+		p := l.pos
+		if p >= len(src) {
+			*t = l.mk(token.EOF, "")
+			return true
+		}
+		c := src[p]
+		switch c {
+		case ' ', '\t', '\v', '\f':
+			l.pos++
+			l.col++
+			l.hasSpace = true
+			continue
+		case '\n', '\r':
+			n := 1
+			if c == '\r' {
+				if p+1 >= len(src) || src[p+1] != '\n' {
+					return false
+				}
+				n = 2
+			}
+			*t = token.Token{Kind: token.Newline, File: l.file, Line: l.line, Col: l.col, HasSpace: l.hasSpace}
+			l.pos += n
+			l.line++
+			l.col = 1
+			l.hasSpace = false
+			return true
+		case '/':
+			if p+1 >= len(src) {
+				break
+			}
+			switch src[p+1] {
+			case '/':
+				e := p + 2
+				for e < len(src) && src[e] != '\n' && src[e] != '\r' && src[e] != '\\' {
+					e++
+				}
+				if e < len(src) && src[e] == '\\' {
+					return false
+				}
+				l.col += e - p
+				l.pos = e
+				l.Comments++
+				l.hasSpace = true
+				continue
+			case '*':
+				// The body starts after "/*", so "/*/" does not close.
+				body := l.text[p+2:]
+				end := strings.Index(body, "*/")
+				if end < 0 || strings.IndexByte(body[:end], '\\') >= 0 {
+					return false
+				}
+				if nl := strings.Count(body[:end], "\n"); nl > 0 {
+					l.line += nl
+					l.col = end + 2 - strings.LastIndexByte(body[:end], '\n')
+				} else {
+					l.col += end + 4
+				}
+				l.pos = p + 2 + end + 2
+				l.Comments++
+				l.hasSpace = true
+				continue
+			}
+		}
+		return l.fastToken(t, p, c)
+	}
+}
+
+// fastToken scans the token starting with byte c at offset p.
+func (l *Lexer) fastToken(t *token.Token, p int, c byte) bool {
+	src := l.src
+	e := p + 1
+	var kind token.Kind
+	var text string
+	switch {
+	case class[c]&identStart != 0:
+		if c == 'L' && e < len(src) && (src[e] == '"' || src[e] == '\'') {
+			return false
+		}
+		for e < len(src) && class[src[e]]&identCont != 0 {
+			e++
+		}
+		kind, text = token.Identifier, l.text[p:e]
+	case c >= '0' && c <= '9' || c == '.' && e < len(src) && src[e] >= '0' && src[e] <= '9':
+		for e = p; e < len(src) && class[src[e]]&ppNumber != 0; {
+			d := src[e]
+			e++
+			if (d|0x20 == 'e' || d|0x20 == 'p') && e < len(src) && (src[e] == '+' || src[e] == '-') {
+				e++
+			}
+		}
+		kind, text = token.Number, l.text[p:e]
+	case c == '"' || c == '\'':
+		for {
+			if e >= len(src) || src[e] == '\n' {
+				return false // unterminated
+			}
+			d := src[e]
+			if d == '\\' {
+				// An escape takes the next byte blindly. Before a newline
+				// the backslash splices instead, so defer. Every other
+				// splice slowNext would find here, a CRLF one or one after
+				// an escaped backslash, leaves a newline in the literal,
+				// which defers above.
+				if e+1 >= len(src) || src[e+1] == '\n' {
+					return false
+				}
+				e += 2
+				continue
+			}
+			e++
+			if d == c {
+				break
+			}
+		}
+		kind, text = token.String, l.text[p:e]
+		if c == '\'' {
+			kind = token.Char
+		}
+	case c == '\\':
+		return false
+	default:
+		kind, text = token.Other, otherText[c]
+		if cands := punctsByFirst[c]; cands != nil {
+			// A backslash anywhere a punctuator could reach may splice
+			// a longer one together.
+			if strings.IndexByte(l.text[e:min(p+len(cands[0].spell), len(src))], '\\') >= 0 {
+				return false
+			}
+			for _, pc := range cands {
+				if strings.HasPrefix(l.text[p:], pc.spell) {
+					kind, text, e = token.Punct, pc.text, p+len(pc.spell)
+					break
+				}
+			}
+		}
+	}
+	// A backslash right after an identifier or number may splice it onto
+	// what follows.
+	if (kind == token.Identifier || kind == token.Number) && e < len(src) && src[e] == '\\' {
+		return false
+	}
+	*t = token.Token{Kind: kind, Text: text, File: l.file, Line: l.line, Col: l.col, HasSpace: l.hasSpace}
+	l.col += e - p
+	l.pos = e
+	l.hasSpace = false
+	return true
+}
+
+// slowNext returns the next token, collapsing backslash-newline splices
+// character by character. It is the general scanner: fastNext defers to it
+// for every token that touches a splice or ends in an error.
+func (l *Lexer) slowNext() (token.Token, error) {
 	for {
 		c, ok := l.peekByte()
 		if !ok {

@@ -340,7 +340,7 @@ func (p *Preprocessor) processFile(path string, c cond.Cond) ([]Segment, error) 
 }
 
 // processFileSrc processes pre-read file contents, consulting the Level-1
-// cache (lexed tokens, line segmentation, guard detection keyed by path and
+// cache (lexed lines and guard detection keyed by path and
 // content hash — pure work, independent of macro state) when enabled.
 func (p *Preprocessor) processFileSrc(path string, src []byte, hash string, c cond.Cond) ([]Segment, error) {
 	p.stats.Bytes += len(src)
@@ -365,7 +365,6 @@ func (p *Preprocessor) processFileSrc(path string, src []byte, hash string, c co
 		guard = detectGuard(lines)
 		if p.hcache != nil && !p.budget.Tripped() {
 			p.hcache.StoreLex(path+"\x00"+hash, &hcache.LexEntry{
-				Toks:  toks,
 				Lines: lines,
 				Guard: guard,
 				Bytes: len(src),
@@ -379,20 +378,25 @@ func (p *Preprocessor) processFileSrc(path string, src []byte, hash string, c co
 	return p.processLines(lines, c, path)
 }
 
-// splitLines groups tokens into logical lines (Newline tokens removed).
+// splitLines groups tokens into logical lines (Newline tokens removed). Each
+// line is a capacity-clipped sub-slice of toks, so no token is copied and an
+// append to a line cannot overwrite the next. An empty line is nil.
 func splitLines(toks []token.Token) [][]token.Token {
 	var lines [][]token.Token
-	var cur []token.Token
-	for _, t := range toks {
-		if t.Kind == token.Newline {
-			lines = append(lines, cur)
-			cur = nil
+	start := 0
+	for i := range toks {
+		if toks[i].Kind != token.Newline {
 			continue
 		}
-		cur = append(cur, t)
+		var line []token.Token
+		if start < i {
+			line = toks[start:i:i]
+		}
+		lines = append(lines, line)
+		start = i + 1
 	}
-	if len(cur) > 0 {
-		lines = append(lines, cur)
+	if start < len(toks) {
+		lines = append(lines, toks[start:len(toks):len(toks)])
 	}
 	return lines
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/hcache"
@@ -39,8 +40,7 @@ func TestBackingLexRoundTrip(t *testing.T) {
 		t.Fatal("LoadLex(absent) hit")
 	}
 	e := &hcache.LexEntry{
-		Toks:  []token.Token{{Text: "int"}, {Text: "x"}},
-		Lines: [][]token.Token{{{Text: "int"}, {Text: "x"}}},
+		Lines: [][]token.Token{{{Text: "int"}, {Text: "x"}}, nil, {{Text: ";"}}},
 		Guard: "FOO_H",
 		Bytes: 42,
 	}
@@ -49,8 +49,47 @@ func TestBackingLexRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("LoadLex missed after SaveLex")
 	}
-	if got.Guard != "FOO_H" || got.Bytes != 42 || len(got.Toks) != 2 || got.Toks[0].Text != "int" {
+	if got.Guard != "FOO_H" || got.Bytes != 42 || len(got.Lines) != 3 || len(got.Lines[0]) != 2 ||
+		got.Lines[0][1].Text != "x" || len(got.Lines[1]) != 0 || got.Lines[2][0].Text != ";" {
 		t.Fatalf("LoadLex = %+v", got)
+	}
+}
+
+// TestBackingLexOldShape pins lex-cache compatibility across the drop of
+// LexEntry's token copy: an artifact written in the old {Toks, Lines,
+// Guard, Bytes} shape still loads, with the same lines, guard and size.
+// Gob skips the field the new type lacks, so existing stores keep hitting.
+func TestBackingLexOldShape(t *testing.T) {
+	type oldLexEntry struct {
+		Toks  []token.Token
+		Lines [][]token.Token
+		Guard string
+		Bytes int
+	}
+	toks := []token.Token{
+		{Kind: token.Punct, Text: "#", File: "foo.h", Line: 1, Col: 1},
+		{Kind: token.Identifier, Text: "define", File: "foo.h", Line: 1, Col: 2},
+		{Kind: token.Identifier, Text: "FOO_H", File: "foo.h", Line: 1, Col: 9, HasSpace: true},
+		{Kind: token.Identifier, Text: "int", File: "foo.h", Line: 3, Col: 1},
+	}
+	old := oldLexEntry{Toks: toks, Lines: [][]token.Token{toks[:3], nil, toks[3:]}, Guard: "FOO_H", Bytes: 27}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, t.TempDir(), Options{})
+	s.Put(NSLex, "k", buf.Bytes())
+	got, ok := NewHeaderBacking(s, stringCodec{}).LoadLex("k")
+	if !ok {
+		t.Fatal("old-shape lex artifact did not load")
+	}
+	if got.Guard != old.Guard || got.Bytes != old.Bytes || len(got.Lines) != len(old.Lines) {
+		t.Fatalf("LoadLex = %+v", got)
+	}
+	for i, line := range old.Lines {
+		if !slices.Equal(got.Lines[i], line) {
+			t.Fatalf("line %d = %+v, want %+v", i, got.Lines[i], line)
+		}
 	}
 }
 

@@ -121,15 +121,20 @@ func (h *HideSet) GobDecode(data []byte) error {
 // Token is one lexical token with its source position. Tokens are treated as
 // immutable after creation; derived tokens (from macro expansion or pasting)
 // copy and modify.
+//
+// The one-byte fields sit together at the end, which makes a Token 64 bytes
+// instead of 80: tokens are copied by value through every stage, and token
+// arrays are a large part of the heap the collector scans. Every literal is
+// keyed and gob encodes by field name, so the order is free to choose.
 type Token struct {
-	Kind     Kind
 	Text     string
 	File     string
 	Line     int
 	Col      int
-	HasSpace bool     // preceded by whitespace or a comment on the same line
 	Hide     *HideSet // macro names painted onto this token
-	Expanded bool     // produced by macro expansion (for diagnostics/stats)
+	Kind     Kind
+	HasSpace bool // preceded by whitespace or a comment on the same line
+	Expanded bool // produced by macro expansion (for diagnostics/stats)
 }
 
 // String renders the token for diagnostics.

@@ -1,6 +1,9 @@
 package token
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestHideSet(t *testing.T) {
 	var h *HideSet
@@ -62,5 +65,14 @@ func TestStringers(t *testing.T) {
 	}
 	if (Token{Kind: Newline}).String() != "<nl>" {
 		t.Error("newline string")
+	}
+}
+
+// TestTokenSize pins the Token layout at 64 bytes; a field added, or moved
+// out of the trailing one-byte group, grows every token array in the
+// pipeline.
+func TestTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Token{}) = %d, want 64", got)
 	}
 }
