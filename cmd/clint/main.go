@@ -57,6 +57,7 @@ func main() {
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	openStore := harness.FlagStore(flag.CommandLine)
 	runConfig := harness.FlagRunConfig(flag.CommandLine)
+	startProfile := harness.FlagProfile(flag.CommandLine)
 	flag.Parse()
 
 	if *listPasses {
@@ -102,6 +103,11 @@ func main() {
 	}
 
 	if err := openStore(); err != nil {
+		fmt.Fprintln(os.Stderr, "clint:", err)
+		os.Exit(1)
+	}
+	stopProfile, err := startProfile()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "clint:", err)
 		os.Exit(1)
 	}
@@ -204,6 +210,7 @@ func main() {
 	if total > 0 {
 		exit = 1
 	}
+	stopProfile() // os.Exit skips deferred calls
 	os.Exit(exit)
 }
 

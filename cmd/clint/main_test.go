@@ -16,10 +16,7 @@ import (
 // joins no link facts on either path: `clint -link -stats` reports the same
 // unit count in-process and via -daemon.
 func TestLinkUnitsInProcessMatchesDaemon(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "clint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildClint(t)
 	root := t.TempDir()
 	for name, src := range map[string]string{
 		"a.c":   "int f(void) { return 1; }\n",
@@ -54,5 +51,36 @@ func TestLinkUnitsInProcessMatchesDaemon(t *testing.T) {
 	}
 	if !strings.Contains(local, " 1 units,") {
 		t.Errorf("in-process %q; want the unparsable unit left out of the join", local)
+	}
+}
+
+// buildClint builds the clint binary into a temporary directory.
+func buildClint(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "clint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestProfileFlagsWriteProfiles pins -cpuprofile and -memprofile on clint,
+// which ends in os.Exit: the profiles are stopped and written before it.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	bin := buildClint(t)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	src, err := filepath.Abs(filepath.Join("..", "..", "examples", "clint", "config_bugs.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-cpuprofile", cpu, "-memprofile", mem, src).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); err != nil && (!ok || ee.ExitCode() != 1) {
+		t.Fatalf("clint: %v\n%s", err, out) // exit 1 only reports findings
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (err %v)", filepath.Base(path), err)
+		}
 	}
 }

@@ -69,6 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	daemonOpts := daemon.FlagClientOptions(fs)
 	openStore := harness.FlagStore(fs)
 	runConfig := harness.FlagRunConfig(fs)
+	startProfile := harness.FlagProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -97,6 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "superc:", err)
 		return 1
 	}
+	stopProfile, err := startProfile()
+	if err != nil {
+		fmt.Fprintln(stderr, "superc:", err)
+		return 1
+	}
+	defer stopProfile()
 	files := fs.Args()
 	out := summary{stdout: stdout, stderr: stderr, stats: *showStats}
 

@@ -110,3 +110,19 @@ func TestSummarySameAtAnyJobsAndViaDaemon(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlagsWriteProfiles pins -cpuprofile and -memprofile on superc:
+// one run writes both files, and neither is empty.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	r := invoke("-cpuprofile", cpu, "-memprofile", mem, filepath.Join("..", "..", "examples", "clint", "clean.c"))
+	if r.exit != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", r.exit, r.stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (err %v)", filepath.Base(path), err)
+		}
+	}
+}

@@ -410,12 +410,8 @@ var droppedSpecWords = map[string]string{
 // the path); sequential children cross-multiply, capped at maxSigVariants
 // with deterministic drop order. inParam elides parameter names.
 func (x *extractor) sigVariants(n *ast.Node, inParam bool) []sigVar {
-	unit := []sigVar{{c: x.space.True()}}
-	if n == nil {
-		return unit
-	}
-	if n.IsError() {
-		return unit
+	if n == nil || n.IsError() {
+		return x.emptySig()
 	}
 	switch n.Kind {
 	case ast.KindToken:
@@ -450,19 +446,19 @@ func (x *extractor) sigVariants(n *ast.Node, inParam bool) []sigVar {
 			}
 		}
 		if len(out) == 0 {
-			return unit
+			return x.emptySig()
 		}
 		return out
 	}
 	switch n.Label {
 	case "IdentifierDeclarator":
 		if inParam {
-			return unit // parameter names never affect the type
+			return x.emptySig() // parameter names never affect the type
 		}
 		return []sigVar{{words: []string{"@"}, c: x.space.True()}}
 	case "InitializedDeclarator":
 		if len(n.Children) == 0 {
-			return unit
+			return x.emptySig()
 		}
 		return x.sigVariants(n.Children[0], inParam) // "=" and initializer excluded
 	case "ParameterDeclaration":
@@ -473,16 +469,36 @@ func (x *extractor) sigVariants(n *ast.Node, inParam bool) []sigVar {
 	return x.crossChildren(n.Children, inParam)
 }
 
-// crossChildren multiplies the children's variants left to right.
+// emptySig is the one empty variant: no words, under True.
+func (x *extractor) emptySig() []sigVar {
+	return []sigVar{{c: x.space.True()}}
+}
+
+// crossChildren multiplies the children's variants left to right. The
+// common case, one variant under the True constant on both sides (an
+// identity test, so no solver call in SAT mode), appends the child's words
+// in place, so a declarator costs time linear in its words. That is safe
+// because out's word slices belong to this call: each is fresh or shared
+// only among out's own variants, and out has one variant when it writes.
 func (x *extractor) crossChildren(children []*ast.Node, inParam bool) []sigVar {
-	out := []sigVar{{c: x.space.True()}}
+	out := x.emptySig()
+	tru := out[0].c
 	for _, ch := range children {
 		if ch == nil {
 			continue
 		}
+		bs := x.sigVariants(ch, inParam)
+		if len(out) == 1 && len(bs) == 1 && out[0].c == tru && bs[0].c == tru {
+			a, b := &out[0], bs[0]
+			a.words = append(a.words, b.words...)
+			a.isTypedef = a.isTypedef || b.isTypedef
+			a.isExtern = a.isExtern || b.isExtern
+			a.isStatic = a.isStatic || b.isStatic
+			continue
+		}
 		next := out[:0:0]
 		for _, a := range out {
-			for _, b := range x.sigVariants(ch, inParam) {
+			for _, b := range bs {
 				c := x.space.And(a.c, b.c)
 				if x.space.IsFalse(c) {
 					continue

@@ -14,6 +14,7 @@ package ast
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cond"
 	"repro/internal/token"
@@ -34,6 +35,7 @@ const (
 // per Kind.
 type Node struct {
 	Kind     Kind
+	mark     uint32       // Counts' visit stamp; fills padding after Kind
 	Label    string       // production label (KindNode, KindList)
 	Tok      *token.Token // KindToken
 	Children []*Node      // KindNode, KindList
@@ -65,7 +67,7 @@ func (n *Node) IsError() bool {
 	return n != nil && n.Kind == KindNode && n.Label == ErrorLabel
 }
 
-// Leaf wraps a token as a leaf node.
+// Leaf wraps a copy of a token as a leaf node.
 func Leaf(t token.Token) *Node {
 	return &Node{Kind: KindToken, Tok: &t}
 }
@@ -128,31 +130,42 @@ func (n *Node) CountChoices() int {
 	return choices
 }
 
+// countEpoch hands each Counts call its own visit stamp.
+var countEpoch atomic.Uint32
+
 // Counts returns Count and CountChoices from one walk of the tree.
+//
+// Shared subtrees are recognized by a visit stamp written into each node
+// instead of a visited set, so the walk allocates nothing. The stamp is
+// the contract: Counts must not run concurrently with itself (or with
+// Count/CountChoices) on one tree, nor on two trees that share nodes.
+// Its production caller, harness.ResultOf, runs it on the goroutine that
+// parsed the tree, before the tree is published. A node last stamped
+// exactly 2^32 calls earlier would be skipped; no tree lives that long.
 func (n *Node) Counts() (nodes, choices int) {
-	seen := make(map[*Node]struct{})
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m == nil {
-			return
-		}
-		if _, ok := seen[m]; ok {
-			return
-		}
-		seen[m] = struct{}{}
-		nodes++
-		if m.Kind == KindChoice {
-			choices++
-		}
-		for _, c := range m.Children {
-			walk(c)
-		}
-		for _, a := range m.Alts {
-			walk(a.Node)
-		}
+	epoch := countEpoch.Add(1)
+	if epoch == 0 { // 0 is a never-counted node's stamp
+		epoch = countEpoch.Add(1)
 	}
-	walk(n)
+	n.count(epoch, &nodes, &choices)
 	return nodes, choices
+}
+
+func (n *Node) count(epoch uint32, nodes, choices *int) {
+	if n == nil || n.mark == epoch {
+		return
+	}
+	n.mark = epoch
+	*nodes++
+	if n.Kind == KindChoice {
+		*choices++
+	}
+	for _, c := range n.Children {
+		c.count(epoch, nodes, choices)
+	}
+	for _, a := range n.Alts {
+		a.Node.count(epoch, nodes, choices)
+	}
 }
 
 // Walk visits every node in preorder; the visitor returns false to prune.

@@ -5,8 +5,8 @@ import "repro/internal/token"
 // Builder batch-allocates AST nodes. A parse produces hundreds of thousands
 // of small nodes that live and die together with the resulting tree, so the
 // parser allocates them from slabs instead of individually: one Go
-// allocation covers slabSize nodes (and likewise token copies and
-// child-pointer cells).
+// allocation covers slabSize nodes (and likewise child-pointer cells).
+// Leaves copy no token: they point at the caller's.
 //
 // Cells are bump-allocated and never reused, so the produced nodes are
 // indistinguishable from individually-allocated ones — except that a
@@ -19,7 +19,6 @@ import "repro/internal/token"
 // rather than overwriting a neighbor's cells.
 type Builder struct {
 	nodes []Node
-	toks  []token.Token
 	kids  []*Node
 }
 
@@ -48,17 +47,14 @@ func (b *Builder) kidSlice(n int) []*Node {
 	return s
 }
 
-// Leaf is Builder-backed ast.Leaf.
-func (b *Builder) Leaf(t token.Token) *Node {
-	if len(b.toks) == 0 {
-		b.toks = make([]token.Token, slabSize)
-	}
-	tp := &b.toks[0]
-	b.toks = b.toks[1:]
-	*tp = t
+// Leaf is Builder-backed ast.Leaf, except that the leaf points at t
+// instead of a copy. The parser's tokens are the preprocessor's output,
+// which no stage writes after it is produced, and nothing writes through a
+// leaf's Tok.
+func (b *Builder) Leaf(t *token.Token) *Node {
 	n := b.node()
 	n.Kind = KindToken
-	n.Tok = tp
+	n.Tok = t
 	return n
 }
 

@@ -258,6 +258,13 @@ type Engine struct {
 	accepts    []ast.Choice
 	killed     bool
 
+	// Budget bookkeeping kept per engine, so the loop heads of concurrent
+	// region engines touch the unit's shared budget only to read its trip:
+	// ticks counts loop heads between wall-clock polls, and observed is the
+	// highest subparser count already reported to the budget.
+	ticks    int
+	observed int
+
 	// Region-parallel hooks (parallel.go). seed pre-populates the root
 	// symbol table's file scope with typedef conditions guessed by the
 	// lexical prescan; track records file-scope observations for the
@@ -334,6 +341,30 @@ func (e *Engine) beginParse() {
 	e.accepts = nil
 	e.killed = false
 	e.acceptDepth = 0
+	e.ticks = 0
+	e.observed = 0
+}
+
+// tick is the parse loop's budget check. A trip recorded by any stage or
+// region is seen at once; the wall clock and context are polled every
+// guard.PollInterval of this engine's ticks.
+func (e *Engine) tick(budget *guard.Budget) bool {
+	if budget.Tripped() {
+		return false
+	}
+	e.ticks++
+	return e.ticks%guard.PollInterval != 0 || budget.PollNow("fmlr")
+}
+
+// observe reports a live subparser count to the budget, but only when it
+// raises this engine's own high-water mark: a count at or below one already
+// observed cannot exceed the limit, so the trip rule is unchanged.
+func (e *Engine) observe(budget *guard.Budget, n int) bool {
+	if n <= e.observed {
+		return true
+	}
+	e.observed = n
+	return budget.Observe("fmlr", guard.AxisSubparsers, int64(n))
 }
 
 // runLoop is the main parse loop: pop the earliest subparser, resolve or
@@ -354,7 +385,7 @@ func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 				continue
 			}
 		}
-		if !budget.Tick("fmlr") {
+		if !e.tick(budget) {
 			return true
 		}
 		e.stats.Iterations++
@@ -374,7 +405,7 @@ func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 			e.killed = true
 			return false
 		}
-		if !budget.Observe("fmlr", guard.AxisSubparsers, int64(n)) {
+		if !e.observe(budget, n) {
 			return true
 		}
 		p := e.pop()

@@ -50,7 +50,7 @@ type element struct {
 // slab allocator on first use.
 func (e *element) leafNode(b *ast.Builder) *ast.Node {
 	if e.leaf == nil {
-		e.leaf = b.Leaf(*e.tok)
+		e.leaf = b.Leaf(e.tok)
 	}
 	return e.leaf
 }

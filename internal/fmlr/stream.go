@@ -253,7 +253,7 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 // observe. It returns false when the budget trips (before or after the
 // iteration is counted, exactly as the queue loop would).
 func (e *Engine) tickIter(budget *guard.Budget) bool {
-	if !budget.Tick("fmlr") {
+	if !e.tick(budget) {
 		return false
 	}
 	e.stats.Iterations++
@@ -266,7 +266,7 @@ func (e *Engine) tickIter(budget *guard.Budget) bool {
 	if e.stats.MaxSubparsers < 1 {
 		e.stats.MaxSubparsers = 1
 	}
-	return budget.Observe("fmlr", guard.AxisSubparsers, 1)
+	return e.observe(budget, 1)
 }
 
 // fastClassify resolves one token's terminal the way reclassify does for a
@@ -367,7 +367,7 @@ func (e *Engine) fastDrain(p *subparser, budget *guard.Budget) (tripped bool) {
 					}
 					e.stats.Shifts++
 					if !e.lang.IsLayout(sym) {
-						p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(*t), p.stack)
+						p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(t), p.stack)
 					} else {
 						p.stack = e.pushNode(act.Target, sym, nil, p.stack)
 					}

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/corpus"
 	"repro/internal/hcache"
 	"repro/internal/preprocessor"
+	"repro/internal/token"
 )
 
 // This file is the differential oracle for the stream-fused token pipeline:
@@ -308,4 +310,69 @@ func FuzzStreamTokens(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLeafAliasesToken pins that AST leaves point at the preprocessor's
+// tokens (the cursor gear's run storage or the forest element's token)
+// instead of copies, on the streamed, materialized and region-parallel
+// paths.
+func TestLeafAliasesToken(t *testing.T) {
+	files := map[string]string{"main.c": corpus.GiantUnit(42, 60)}
+	owned := func(u *preprocessor.Unit) map[*token.Token]bool {
+		ptrs := make(map[*token.Token]bool)
+		var segs func([]preprocessor.Segment)
+		segs = func(ss []preprocessor.Segment) {
+			for _, sg := range ss {
+				if sg.IsToken() {
+					ptrs[sg.Tok] = true
+					continue
+				}
+				for _, b := range sg.Cond.Branches {
+					segs(b.Segs)
+				}
+			}
+		}
+		for _, c := range u.Chunks {
+			for i := range c.Run {
+				ptrs[&c.Run[i]] = true
+			}
+			if c.Cond != nil {
+				segs([]preprocessor.Segment{{Cond: c.Cond}})
+			}
+		}
+		return ptrs
+	}
+	for _, tc := range []struct {
+		name     string
+		noStream bool
+		workers  int
+	}{{"stream", false, 1}, {"materialized", true, 1}, {"parallel", false, 4}} {
+		u, s := preprocessChunked(t, files)
+		ptrs := owned(u)
+		opts := OptAll
+		opts.NoStream = tc.noStream
+		opts.ParseWorkers = tc.workers
+		res := New(s, cgrammar.MustLoad(), opts).ParseUnit(u)
+		if res.AST == nil || len(res.Diags) > 0 {
+			t.Fatalf("%s: parse failed: %v", tc.name, res.Diags)
+		}
+		// The AST is a DAG; visit each shared subtree once.
+		leaves, seen := 0, make(map[*ast.Node]bool)
+		ast.Walk(res.AST, func(n *ast.Node) bool {
+			if seen[n] {
+				return false
+			}
+			seen[n] = true
+			if n.Kind == ast.KindToken {
+				leaves++
+				if !ptrs[n.Tok] {
+					t.Errorf("%s: leaf %q at %s does not point at a preprocessed token", tc.name, n.Tok.Text, n.Tok.Pos())
+				}
+			}
+			return true
+		})
+		if leaves == 0 {
+			t.Errorf("%s: AST has no leaves", tc.name)
+		}
+	}
 }

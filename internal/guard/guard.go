@@ -131,11 +131,12 @@ func (d *Diagnostic) Error() string {
 	return s
 }
 
-// pollInterval is how many Tick/Charge calls elapse between wall-clock and
+// PollInterval is how many Tick/Charge calls elapse between wall-clock and
 // context polls. Checking time.Now on every loop iteration would dominate
 // tight loops; every 256th call keeps overhead in the noise while bounding
-// overshoot to a fraction of a millisecond of work.
-const pollInterval = 256
+// overshoot to a fraction of a millisecond of work. Loops that keep their
+// own tick count call PollNow at the same interval.
+const PollInterval = 256
 
 // Budget is one unit's resource account. It is safe for concurrent use:
 // intra-unit parallel subparsers charge one shared budget, so the counters
@@ -143,7 +144,8 @@ const pollInterval = 256
 // atomic pointer (first trip wins under any interleaving). Charges are
 // monotone, so a trip can overshoot by at most the in-flight charges of the
 // racing goroutines — the same overshoot the amortized poller already
-// accepts.
+// accepts. trip sits on a cache line of its own: every loop head of every
+// region worker reads it, and the counters beside it are written.
 type Budget struct {
 	ctx      context.Context
 	limits   Limits
@@ -151,7 +153,9 @@ type Budget struct {
 	start    time.Time
 	counters [NumAxes]int64
 	polls    int32
+	_        [64]byte
 	trip     atomic.Pointer[Diagnostic]
+	_        [64]byte
 	annMu    sync.Mutex // serializes Annotate's read-modify-write of the trip
 }
 
@@ -262,7 +266,7 @@ func (b *Budget) Observe(stage string, a Axis, v int64) bool {
 }
 
 // Tick is the loop-head check for stages with nothing to count: it polls
-// the wall clock and context every pollInterval calls. Returns true while
+// the wall clock and context every PollInterval calls. Returns true while
 // the budget holds.
 func (b *Budget) Tick(stage string) bool {
 	if b == nil {
@@ -275,16 +279,17 @@ func (b *Budget) Tick(stage string) bool {
 }
 
 func (b *Budget) poll(stage string) bool {
-	if atomic.AddInt32(&b.polls, 1)%pollInterval != 0 {
+	if atomic.AddInt32(&b.polls, 1)%PollInterval != 0 {
 		return true
 	}
-	return b.pollNow(stage)
+	return b.PollNow(stage)
 }
 
-// pollNow checks the deadline and context immediately (Tick amortizes this
-// behind pollInterval). Stage boundaries call it directly so a trip is
-// noticed promptly even in stages with few loop iterations.
-func (b *Budget) pollNow(stage string) bool {
+// PollNow checks the deadline and context immediately (Tick amortizes this
+// behind PollInterval). Stage boundaries call it directly so a trip is
+// noticed promptly even in stages with few loop iterations, and loops that
+// count their own ticks call it every PollInterval of them.
+func (b *Budget) PollNow(stage string) bool {
 	if b == nil {
 		return true
 	}

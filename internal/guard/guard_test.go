@@ -74,7 +74,7 @@ func TestObserveHighWater(t *testing.T) {
 func TestWallDeadline(t *testing.T) {
 	b := New(context.Background(), Limits{Wall: time.Millisecond})
 	time.Sleep(5 * time.Millisecond)
-	if b.pollNow("pp") {
+	if b.PollNow("pp") {
 		t.Fatal("no trip past deadline")
 	}
 	d := b.Trip()
@@ -90,7 +90,7 @@ func TestTickPollsEventually(t *testing.T) {
 	b := New(context.Background(), Limits{Wall: time.Millisecond})
 	time.Sleep(5 * time.Millisecond)
 	tripped := false
-	for i := 0; i < 2*pollInterval; i++ {
+	for i := 0; i < 2*PollInterval; i++ {
 		if !b.Tick("pp") {
 			tripped = true
 			break
@@ -104,11 +104,11 @@ func TestTickPollsEventually(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(ctx, Limits{})
-	if !b.pollNow("pp") {
+	if !b.PollNow("pp") {
 		t.Fatal("tripped before cancel")
 	}
 	cancel()
-	if b.pollNow("pp") {
+	if b.PollNow("pp") {
 		t.Fatal("no trip after cancel")
 	}
 	if d := b.Trip(); d == nil || d.Axis != AxisCancel {

@@ -30,7 +30,9 @@ func (p *Preprocessor) expandSegments(segs []Segment, c cond.Cond, depth int) []
 		p.errorf(token.Token{}, "macro expansion too deep")
 		return segs
 	}
-	var out []Segment
+	// One allocation up front: growing by doubling recopies the
+	// pointer-bearing segments under write barriers on every flush.
+	out := make([]Segment, 0, len(segs))
 	in := segs
 	for len(in) > 0 {
 		// Loop-head budget check: each rescanning step charges the

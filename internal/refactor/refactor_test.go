@@ -1,12 +1,14 @@
 package refactor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/preprocessor"
 	"repro/internal/printer"
+	"repro/internal/token"
 )
 
 func parse(t *testing.T, src string) (*core.Result, *core.Tool) {
@@ -170,4 +172,51 @@ widget_count +
 			t.Errorf("%v: render/reparse mismatch:\n%q\n%q", assign, t1, t2)
 		}
 	}
+}
+
+// TestRenameLeavesUnitTokens pins that a rename builds new leaves instead
+// of writing through the old ones: parse-tree leaves point at the
+// preprocessor's tokens, so a write would change the unit itself.
+func TestRenameLeavesUnitTokens(t *testing.T) {
+	res, tool := parse(t, `
+#ifdef CONFIG_FAST
+static int lookup(int k) { return k << 1; }
+#else
+static int lookup(int k) { return k; }
+#endif
+int query(int k) { return lookup(k); }
+`)
+	var before []token.Token
+	for _, sg := range res.Unit.EnsureSegments() {
+		before = append(before, segTokens(sg)...)
+	}
+	out, rep := Rename(tool.Space(), res.AST, "lookup", "find_entry")
+	if rep.Occurrences != 3 || out == res.AST {
+		t.Fatalf("rename did not apply: %d occurrences", rep.Occurrences)
+	}
+	var after []token.Token
+	for _, sg := range res.Unit.EnsureSegments() {
+		after = append(after, segTokens(sg)...)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Error("Rename changed the unit's preprocessed tokens")
+	}
+	if strings.Contains(printer.Config(tool.Space(), res.AST, nil), "find_entry") {
+		t.Error("Rename changed the original AST")
+	}
+}
+
+// segTokens flattens one segment's tokens, every branch of a conditional
+// included.
+func segTokens(sg preprocessor.Segment) []token.Token {
+	if sg.IsToken() {
+		return []token.Token{*sg.Tok}
+	}
+	var out []token.Token
+	for _, b := range sg.Cond.Branches {
+		for _, s := range b.Segs {
+			out = append(out, segTokens(s)...)
+		}
+	}
+	return out
 }
