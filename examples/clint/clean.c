@@ -7,3 +7,13 @@ static int scale(int v) { return v + 1; }
 #endif
 
 int run(int v) { return scale(v); }
+
+/* A parameter and a block-scope enumerator each shadow a name that only
+ * some configurations declare at file scope: every use below is declared
+ * in both configurations. */
+#ifdef CONFIG_A
+int x;
+int RED;
+#endif
+int f(int x) { return x; }
+int g(void) { enum { RED = 1 }; return RED; }

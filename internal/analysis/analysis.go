@@ -92,8 +92,8 @@ func (ix *Index) walk(file string, n *ast.Node, c cond.Cond) {
 	}
 	switch n.Label {
 	case "FunctionDefinition":
-		if name, line, col := declaredNamePos(n); name != "" {
-			ix.add(Symbol{Name: name, Kind: KindFunction, File: file, Line: line, Col: col, Cond: c})
+		if leaf := declaredLeaf(n); leaf != nil {
+			ix.add(Symbol{Name: leaf.Text(), Kind: KindFunction, File: file, Line: leaf.Tok.Line, Col: leaf.Tok.Col, Cond: c})
 		}
 		return
 	case "Declaration":
@@ -129,8 +129,8 @@ func (ix *Index) addDeclaration(file string, n *ast.Node, c cond.Cond) {
 			return
 		}
 		if m.Label == "InitializedDeclarator" {
-			if name, line, col := declaredNamePos(m); name != "" {
-				ix.add(Symbol{Name: name, Kind: KindVariable, File: file, Line: line, Col: col, Cond: c})
+			if leaf := declaredLeaf(m); leaf != nil {
+				ix.add(Symbol{Name: leaf.Text(), Kind: KindVariable, File: file, Line: leaf.Tok.Line, Col: leaf.Tok.Col, Cond: c})
 			}
 			return
 		}
@@ -256,31 +256,21 @@ func (ix *Index) CoverageReport() []Coverage {
 	return out
 }
 
-// DeclaredName digs out the first identifier declarator beneath a
-// declaration or function definition, staying on the declarator spine.
-func DeclaredName(n *ast.Node) string {
-	name, _, _ := declaredNamePos(n)
-	return name
-}
-
-// DeclaredNamePos is DeclaredName with the declarator's source position.
-func DeclaredNamePos(n *ast.Node) (name string, line, col int) {
-	return declaredNamePos(n)
-}
-
 // HasLeaf reports whether the subtree contains a token with the given text
 // (choice alternatives included) — used by passes to spot storage-class and
 // typedef specifiers.
 func HasLeaf(n *ast.Node, text string) bool { return containsLeaf(n, text) }
 
-func declaredNamePos(n *ast.Node) (name string, line, col int) {
+// declaredLeaf digs out the name leaf of the first identifier declarator
+// beneath a declaration or function definition, staying on the declarator
+// spine; nil when there is none.
+func declaredLeaf(n *ast.Node) (leaf *ast.Node) {
 	ast.Walk(n, func(m *ast.Node) bool {
-		if name != "" {
+		if leaf != nil {
 			return false
 		}
 		if m.Label == "IdentifierDeclarator" && len(m.Children) == 1 && m.Children[0].Kind == ast.KindToken {
-			leaf := m.Children[0]
-			name, line, col = leaf.Text(), leaf.Tok.Line, leaf.Tok.Col
+			leaf = m.Children[0]
 			return false
 		}
 		switch m.Label {
@@ -290,7 +280,7 @@ func declaredNamePos(n *ast.Node) (name string, line, col int) {
 		}
 		return true
 	})
-	return name, line, col
+	return leaf
 }
 
 func containsLeaf(n *ast.Node, text string) bool {

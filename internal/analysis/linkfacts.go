@@ -47,6 +47,7 @@ func ExtractLinkFacts(u *Unit) *link.Facts {
 		facts:    make(map[factKey]*factAcc),
 		refs:     make(map[refKey]*refAcc),
 	}
+	x.scopes = NewScopes(u.Space, x.sighting)
 	if u.AST != nil {
 		// Pass A: the unit-internal name set, needed before any reference
 		// can be classified (a static defined after its use is still
@@ -85,6 +86,7 @@ type extractor struct {
 	space      *cond.Space
 	collecting bool          // pass A: only populate the internal table
 	internal   *symtab.Table // statics, typedefs, file-scope enumerators
+	scopes     *Scopes       // local names of bodies and initializers
 	facts      map[factKey]*factAcc
 	refs       map[refKey]*refAcc
 }
@@ -125,9 +127,7 @@ func (x *extractor) declaration(n *ast.Node, c cond.Cond) {
 	specs := n.Children[1-1]
 	specVars := x.sigVariants(specs, false)
 	if x.collecting {
-		// File-scope enumerators are constants with no linkage; register
-		// every Enumerator in the declaration (specifier side included).
-		x.collectEnumerators(n, c)
+		x.scopes.Walk(n, c, false) // file-scope enumerators
 		for _, sv := range specVars {
 			if !sv.isTypedef && !sv.isStatic {
 				continue
@@ -175,9 +175,9 @@ func (x *extractor) declaration(n *ast.Node, c cond.Cond) {
 		}
 		// Initializer expressions at file scope reference other symbols
 		// (int *p = &other_unit_obj;).
-		if w := x.refWalker(); root.Label == "InitializedDeclarator" && len(root.Children) > 1 {
+		if root.Label == "InitializedDeclarator" && len(root.Children) > 1 {
 			for _, init := range root.Children[1:] {
-				w.walk(init, rc, true)
+				x.scopes.Walk(init, rc, true)
 			}
 		}
 	})
@@ -193,7 +193,6 @@ func (x *extractor) functionDefinition(n *ast.Node, c cond.Cond) {
 	specVars := x.sigVariants(specs, false)
 	sites := x.declSites(decl, c, false)
 	if x.collecting {
-		x.collectEnumerators(n, c)
 		for _, sv := range specVars {
 			if !sv.isStatic {
 				continue
@@ -223,18 +222,7 @@ func (x *extractor) functionDefinition(n *ast.Node, c cond.Cond) {
 			}
 		}
 	}
-	// References: parameters open a scope wrapping the body; the walker's
-	// table holds only function-local names, so anything that escapes it
-	// (and the internal set) is a cross-unit reference.
-	w := x.refWalker()
-	w.table.EnterScope()
-	w.defineParams(decl, c)
-	for _, ch := range n.Children {
-		if ch != nil && ch.Label == "CompoundStatement" {
-			w.walk(ch, c, false)
-		}
-	}
-	w.table.ExitScope()
+	x.scopes.Walk(n, c, false) // references
 }
 
 // splitFuncDef separates a FunctionDefinition's specifier child from its
@@ -253,26 +241,6 @@ func (x *extractor) splitFuncDef(n *ast.Node) (specs, decl *ast.Node) {
 		}
 	}
 	return specs, decl
-}
-
-// collectEnumerators registers every Enumerator name in the subtree as a
-// unit-internal constant under its path condition.
-func (x *extractor) collectEnumerators(n *ast.Node, c cond.Cond) {
-	if n == nil || x.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			x.collectEnumerators(alt.Node, x.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-		x.internal.DefineObject(n.Children[0].Text(), c)
-	}
-	for _, ch := range n.Children {
-		x.collectEnumerators(ch, c)
-	}
 }
 
 // declaratorLabels are the node labels that root one declarator.
@@ -668,207 +636,34 @@ func (x *extractor) finish() *link.Facts {
 	return out
 }
 
-// refWalker returns the body/initializer reference walker sharing the
-// extractor's accumulators. Its symbol table holds only function-local
-// names: file-scope names deliberately stay out, so a unit referencing its
-// own conditional definition still emits the reference and the linker sees
-// the gap when no configuration's definition covers it.
-func (x *extractor) refWalker() *linkRefWalker {
-	return &linkRefWalker{x: x, space: x.space, table: symtab.New(x.space)}
-}
-
-// linkRefWalker mirrors the undefuse pass's traversal — scopes, declarator
-// registration, and namespace skips proven there — but records escapes as
-// link references instead of diagnostics.
-type linkRefWalker struct {
-	x     *extractor
-	space *cond.Space
-	table *symtab.Table
-}
-
-func (w *linkRefWalker) walk(n *ast.Node, c cond.Cond, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		if inBody && n.Tok.Kind == token.Identifier {
-			w.use(*n.Tok, c)
+// sighting is the extractor's scope policy. In pass A it only registers
+// file-scope enumerators, constants with no linkage, as internal names. In
+// pass B the table holds only names local to a body or initializer; names
+// at file scope deliberately stay out, so a unit referencing its own
+// conditional definition still emits the reference and the linker sees the
+// gap when no configuration's definition covers it. What a use's local
+// declarations (and then the internal set) do not cover is a reference.
+func (x *extractor) sighting(tab *symtab.Table, s Sighting) bool {
+	if x.collecting {
+		if s.Kind == Enumerator {
+			x.internal.DefineObject(s.Tok.Text, s.Cond)
 		}
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.walk(alt.Node, w.space.And(c, alt.Cond), inBody)
-		}
-		return
+		return false
 	}
-	switch n.Label {
-	case "CompoundStatement":
-		w.table.EnterScope()
-		for _, ch := range n.Children {
-			w.walk(ch, c, true)
-		}
-		w.table.ExitScope()
-		return
-	case "Declaration":
-		w.declaration(n, c, inBody)
-		return
-	case "FunctionDefinition":
-		w.functionDefinition(n, c)
-		return
-	case "MemberExpr", "ArrowExpr":
-		if len(n.Children) > 0 {
-			w.walk(n.Children[0], c, inBody)
-		}
-		return
-	case "LabelStatement":
-		if len(n.Children) > 0 {
-			w.walk(n.Children[len(n.Children)-1], c, inBody)
-		}
-		return
-	case "GotoStatement", "TypeName", "StructSpecifier", "EnumSpecifier", "FieldDesignator":
-		return
+	if s.Kind != Use {
+		return tab.Depth() > 1
 	}
-	for _, ch := range n.Children {
-		w.walk(ch, c, inBody)
+	// Keywords lex as identifiers in this pipeline (reclassification is a
+	// parse-time concern), so they are filtered here — unlike undefuse, the
+	// linker cannot rely on the "never declared anywhere" filter, because
+	// never-declared names are exactly the undef-ref candidates.
+	if cgrammar.IsKeyword(s.Tok.Text) {
+		return false
 	}
-}
-
-func (w *linkRefWalker) declaration(n *ast.Node, c cond.Cond, inBody bool) {
-	if len(n.Children) < 2 {
-		return
+	if escaped := x.space.AndNot(s.Cond, tab.Declared(s.Tok.Text)); !x.space.IsFalse(escaped) {
+		x.ref(*s.Tok, escaped)
 	}
-	// Block-scope enumerators are local constants, not references.
-	w.declareEnumerators(n.Children[0], c)
-	isTypedef := HasLeaf(n.Children[0], "typedef")
-	w.declare(n.Children[1], c, isTypedef, inBody)
-}
-
-func (w *linkRefWalker) declareEnumerators(n *ast.Node, c cond.Cond) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			w.declareEnumerators(alt.Node, w.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-		w.table.DefineObject(n.Children[0].Text(), c)
-	}
-	for _, ch := range n.Children {
-		w.declareEnumerators(ch, c)
-	}
-}
-
-func (w *linkRefWalker) declare(n *ast.Node, c cond.Cond, isTypedef, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.declare(alt.Node, w.space.And(c, alt.Cond), isTypedef, inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "IdentifierDeclarator":
-		if len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-			w.define(n.Children[0].Text(), c, isTypedef)
-		}
-		return
-	case "InitializedDeclarator":
-		if len(n.Children) > 0 {
-			w.declare(n.Children[0], c, isTypedef, inBody)
-			for _, init := range n.Children[1:] {
-				if inBody {
-					w.walk(init, c, true)
-				}
-			}
-		}
-		return
-	case "ParameterDeclaration", "StructSpecifier", "EnumSpecifier":
-		return
-	}
-	for _, ch := range n.Children {
-		w.declare(ch, c, isTypedef, inBody)
-	}
-}
-
-func (w *linkRefWalker) functionDefinition(n *ast.Node, c cond.Cond) {
-	if name, _, _ := DeclaredNamePos(n); name != "" {
-		w.define(name, c, false)
-	}
-	w.table.EnterScope()
-	w.defineParams(n, c)
-	for _, ch := range n.Children {
-		if ch != nil && ch.Label == "CompoundStatement" {
-			w.walk(ch, c, false)
-		}
-	}
-	w.table.ExitScope()
-}
-
-func (w *linkRefWalker) defineParams(n *ast.Node, c cond.Cond) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			w.defineParams(alt.Node, w.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "ParameterDeclaration" {
-		// declaredNamePos prunes at ParameterDeclaration nodes (it digs
-		// function names, skipping their params), so dig the children.
-		for _, ch := range n.Children {
-			if name, _, _ := DeclaredNamePos(ch); name != "" {
-				w.define(name, c, false)
-				break
-			}
-		}
-		return
-	}
-	if n.Label == "CompoundStatement" {
-		return
-	}
-	for _, ch := range n.Children {
-		w.defineParams(ch, c)
-	}
-}
-
-func (w *linkRefWalker) define(name string, c cond.Cond, isTypedef bool) {
-	if name == "" {
-		return
-	}
-	if isTypedef {
-		w.table.DefineTypedef(name, c)
-	} else {
-		w.table.DefineObject(name, c)
-	}
-}
-
-// use records an identifier sighting, subtracting the locally-declared
-// condition; what escapes becomes a link reference (the extractor further
-// subtracts the unit-internal names). Keywords lex as identifiers in this
-// pipeline (reclassification is a parse-time concern), so they are filtered
-// here — unlike undefuse, the linker cannot rely on the "never declared
-// anywhere" filter, because never-declared names are exactly the undef-ref
-// candidates.
-func (w *linkRefWalker) use(tok token.Token, c cond.Cond) {
-	if cgrammar.IsKeyword(tok.Text) {
-		return
-	}
-	escaped := w.space.AndNot(c, w.table.Declared(tok.Text))
-	if w.space.IsFalse(escaped) {
-		return
-	}
-	w.x.ref(tok, escaped)
+	return false
 }
 
 // LinkDiagnostic converts a corpus-level linker finding into a framework

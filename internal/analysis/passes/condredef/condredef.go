@@ -10,10 +10,8 @@ package condredef
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/ast"
 	"repro/internal/cond"
 	"repro/internal/symtab"
-	"repro/internal/token"
 )
 
 // Analyzer is the conditional-redefinition pass.
@@ -36,11 +34,19 @@ func run(p *analysis.Pass) error {
 		})
 	}
 
-	// Block scopes: walk function bodies with a conditional symbol table,
-	// reporting definitions that overlap an existing same-scope entry.
+	// Block scopes: check each block-scope declarator against the entries
+	// already in its own scope before it enters the table; a block-scope
+	// extern declaration refers, it does not define. Distinct textual definitions visited through
+	// different choice alternatives carry disjoint conditions, so re-visits
+	// of one definition never self-conflict.
 	if u.AST != nil {
-		w := &redefWalker{pass: p, space: u.Space, table: symtab.New(u.Space)}
-		w.walk(u.AST, u.Space.True(), false)
+		analysis.NewScopes(u.Space, func(tab *symtab.Table, s analysis.Sighting) bool {
+			if s.Kind != analysis.Declarator || tab.Depth() == 1 || analysis.HasLeaf(s.Decl.Children[0], "extern") {
+				return false
+			}
+			checkRedefinition(p, tab, s)
+			return true
+		}).Walk(u.AST, u.Space.True(), false)
 	}
 	return nil
 }
@@ -56,123 +62,27 @@ func conflictMsg(c analysis.Conflict) string {
 		c.B.Kind.String() + " under an overlapping condition"
 }
 
-// redefWalker traverses the AST tracking C scopes. The file scope is handled
-// by the index above, so definitions are only registered and checked once
-// inside a function body (inBody).
-type redefWalker struct {
-	pass  *analysis.Pass
-	space *cond.Space
-	table *symtab.Table
-}
-
-func (w *redefWalker) walk(n *ast.Node, c cond.Cond, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
+// checkRedefinition reports a block-scope definition that overlaps an
+// entry of its own scope: a same-kind redefinition, or the worse
+// typedef/object kind clash.
+func checkRedefinition(p *analysis.Pass, tab *symtab.Table, s analysis.Sighting) {
+	tdCond, objCond, ok := tab.CurrentScope(s.Tok.Text)
+	if !ok {
 		return
 	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.walk(alt.Node, w.space.And(c, alt.Cond), inBody)
+	space := p.Unit.Space
+	sameKind, crossKind := objCond, tdCond
+	if s.Typedef {
+		sameKind, crossKind = tdCond, objCond
+	}
+	if ov := andDefined(space, crossKind, s.Cond); ov != nil {
+		kinds := "an object and a typedef"
+		if s.Typedef {
+			kinds = "a typedef and an object"
 		}
-		return
-	}
-	switch n.Label {
-	case "CompoundStatement":
-		w.table.EnterScope()
-		for _, ch := range n.Children {
-			w.walk(ch, c, true)
-		}
-		w.table.ExitScope()
-		return
-	case "Declaration":
-		if inBody {
-			w.declaration(n, c)
-			return
-		}
-	case "StructSpecifier", "EnumSpecifier":
-		// Member and enumerator names live in their own namespaces.
-		return
-	}
-	for _, ch := range n.Children {
-		w.walk(ch, c, inBody)
-	}
-}
-
-// declaration registers a block-scope declaration's names, reporting
-// overlaps with existing same-scope entries first. Distinct textual
-// definitions visited through different choice alternatives carry disjoint
-// conditions, so re-visits of one definition never self-conflict.
-func (w *redefWalker) declaration(n *ast.Node, c cond.Cond) {
-	if len(n.Children) < 2 {
-		return
-	}
-	isTypedef := analysis.HasLeaf(n.Children[0], "typedef")
-	if analysis.HasLeaf(n.Children[0], "extern") {
-		return // a block-scope extern declaration refers, it does not define
-	}
-	w.declarators(n.Children[1], c, isTypedef)
-}
-
-func (w *redefWalker) declarators(n *ast.Node, c cond.Cond, isTypedef bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.declarators(alt.Node, w.space.And(c, alt.Cond), isTypedef)
-		}
-		return
-	}
-	if n.Label == "IdentifierDeclarator" && len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-		leaf := n.Children[0]
-		w.define(leaf.Text(), *leaf.Tok, c, isTypedef)
-		return
-	}
-	if n.Label == "InitializedDeclarator" {
-		// Stay on the declarator spine: the initializer's identifiers are
-		// uses, not definitions.
-		if len(n.Children) > 0 {
-			w.declarators(n.Children[0], c, isTypedef)
-		}
-		return
-	}
-	switch n.Label {
-	case "BracedInitializer", "ParameterDeclaration":
-		return
-	}
-	for _, ch := range n.Children {
-		w.declarators(ch, c, isTypedef)
-	}
-}
-
-func (w *redefWalker) define(name string, tok token.Token, c cond.Cond, isTypedef bool) {
-	if name == "" {
-		return
-	}
-	if tdCond, objCond, ok := w.table.CurrentScope(name); ok {
-		sameKind, crossKind := objCond, tdCond
-		if isTypedef {
-			sameKind, crossKind = tdCond, objCond
-		}
-		if ov := andDefined(w.space, crossKind, c); ov != nil {
-			kinds := "an object and a typedef"
-			if isTypedef {
-				kinds = "a typedef and an object"
-			}
-			w.pass.Reportf(tok, *ov, "%q is %s in the same scope under an overlapping condition", name, kinds)
-		} else if ov := andDefined(w.space, sameKind, c); ov != nil {
-			w.pass.Reportf(tok, *ov, "%q redefined in the same scope under an overlapping condition", name)
-		}
-	}
-	if isTypedef {
-		w.table.DefineTypedef(name, c)
-	} else {
-		w.table.DefineObject(name, c)
+		p.Reportf(*s.Tok, *ov, "%q is %s in the same scope under an overlapping condition", s.Tok.Text, kinds)
+	} else if ov := andDefined(space, sameKind, s.Cond); ov != nil {
+		p.Reportf(*s.Tok, *ov, "%q redefined in the same scope under an overlapping condition", s.Tok.Text)
 	}
 }
 

@@ -94,14 +94,30 @@ int use(void) {
 }
 
 func TestParametersAndLocalsInScope(t *testing.T) {
-	r, _ := lint(t, `
+	for _, src := range []string{`
 int add(int left, int right) {
     int sum = left + right;
     return sum;
 }
-`)
-	if len(r.Diags) != 0 {
-		t.Errorf("parameters or locals flagged: %+v", r.Diags)
+`,
+		// A parameter shadows a conditional file-scope object.
+		`
+#ifdef CONFIG_A
+int x;
+#endif
+int f(int x) { return x; }
+`,
+		// A block-scope enumerator shadows a conditional file-scope object.
+		`
+#ifdef CONFIG_A
+int RED;
+#endif
+int g(void) { enum { RED = 1 }; return RED; }
+`} {
+		r, _ := lint(t, src)
+		if len(r.Diags) != 0 {
+			t.Errorf("parameters or locals flagged: %+v\n%s", r.Diags, src)
+		}
 	}
 }
 

@@ -61,6 +61,7 @@ type C struct {
 	TypedefName lalr.Symbol
 	Constant    lalr.Symbol
 	StringLit   lalr.Symbol
+	stray       lalr.Symbol
 
 	keywords map[string]lalr.Symbol
 	puncts   map[string]lalr.Symbol
@@ -113,7 +114,7 @@ func IsKeyword(name string) bool {
 	if _, ok := keywordAliases[name]; ok {
 		return true
 	}
-	return keywordSet[name]
+	return keywordSet[name] || name == invisibleWord
 }
 
 var keywordSet = func() map[string]bool {
@@ -126,21 +127,30 @@ var keywordSet = func() map[string]bool {
 
 // keywordAliases maps gcc spelling variants onto the canonical keyword.
 var keywordAliases = map[string]string{
-	"__inline":      "inline",
-	"__inline__":    "inline",
-	"__typeof":      "typeof",
-	"__typeof__":    "typeof",
-	"__asm":         "asm",
-	"__asm__":       "asm",
-	"__attribute":   "__attribute__",
-	"__const":       "const",
-	"__const__":     "const",
-	"__volatile":    "volatile",
-	"__volatile__":  "volatile",
-	"__restrict":    "restrict",
-	"__restrict__":  "restrict",
-	"__signed__":    "signed",
-	"__extension__": "",
+	"__inline":     "inline",
+	"__inline__":   "inline",
+	"__typeof":     "typeof",
+	"__typeof__":   "typeof",
+	"__asm":        "asm",
+	"__asm__":      "asm",
+	"__attribute":  "__attribute__",
+	"__const":      "const",
+	"__const__":    "const",
+	"__volatile":   "volatile",
+	"__volatile__": "volatile",
+	"__restrict":   "restrict",
+	"__restrict__": "restrict",
+	"__signed__":   "signed",
+}
+
+// invisibleWord is gcc's __extension__ marker, which only silences
+// pedantic warnings about the expression or declaration it prefixes.
+const invisibleWord = "__extension__"
+
+// Invisible reports whether the parser never sees t: the FMLR engine drops
+// such tokens where they become parser input, before classification.
+func Invisible(t *token.Token) bool {
+	return t.Kind == token.Identifier && t.Text == invisibleWord
 }
 
 var punctList = []string{
@@ -192,6 +202,7 @@ func newSkeleton() (*C, *infoBuilder) {
 	c.TypedefName = g.Terminal("TYPEDEFNAME")
 	c.Constant = g.Terminal("CONSTANT")
 	c.StringLit = g.Terminal("STRING")
+	c.stray = g.Terminal("STRAY")
 	for _, kw := range keywordList {
 		c.keywords[kw] = g.Terminal(kw)
 	}
@@ -254,16 +265,17 @@ func (c *C) IsLayout(s lalr.Symbol) bool { return c.layout[s] }
 // Classify maps a preprocessed token to its terminal symbol. Identifiers
 // that name types must be reclassified to TYPEDEFNAME by the caller's
 // context plugin; Classify always returns IDENTIFIER for words that are not
-// keywords. The bool result is false for tokens the parser never sees
-// (gcc's __extension__ no-op marker).
+// keywords. The bool result is false only for invisible tokens, which have
+// no terminal. Any other token without one (a stray character such as '@')
+// is STRAY, which no production accepts: a parse error wherever it appears.
 func (c *C) Classify(t token.Token) (lalr.Symbol, bool) {
+	if Invisible(&t) {
+		return 0, false
+	}
 	switch t.Kind {
 	case token.Identifier:
 		name := t.Text
 		if alias, ok := keywordAliases[name]; ok {
-			if alias == "" {
-				return 0, false
-			}
 			name = alias
 		}
 		if s, ok := c.keywords[name]; ok {
@@ -279,7 +291,7 @@ func (c *C) Classify(t token.Token) (lalr.Symbol, bool) {
 			return s, true
 		}
 	}
-	return 0, false
+	return c.stray, true
 }
 
 // infoBuilder records per-production metadata as rules are declared.

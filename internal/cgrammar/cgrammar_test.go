@@ -244,6 +244,7 @@ func TestRejectsInvalid(t *testing.T) {
 		"return 0;", // statement at top level
 		"int x x;",
 		"if (a) b();", // statement at top level
+		"int x @;",    // a stray character is no terminal
 	}
 	for _, src := range cases {
 		mustFail(t, src, nil)
@@ -281,6 +282,7 @@ func TestClassify(t *testing.T) {
 		{token.Token{Kind: token.Char, Text: "'a'"}, "CONSTANT", true},
 		{token.Token{Kind: token.String, Text: `"s"`}, "STRING", true},
 		{token.Token{Kind: token.Punct, Text: "->"}, "->", true},
+		{token.Token{Kind: token.Other, Text: "@"}, "STRAY", true},
 	}
 	for _, tc := range cases {
 		s, ok := c.Classify(tc.tok)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,5 +113,49 @@ func TestParserOptionOverride(t *testing.T) {
 	}
 	if res.AST == nil && !res.Parse.Killed {
 		t.Error("MAPR parse neither succeeded nor was killed")
+	}
+}
+
+// TestExtensionMarkerIsInvisible: gcc's __extension__ never reaches the
+// parser, so glibc-style declarations behind it parse clean, and alike
+// whether tokens stream through the cursor, are materialized into the
+// forest, or are parsed in parallel regions (the unit is long enough to
+// split).
+func TestExtensionMarkerIsInvisible(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`__extension__ typedef unsigned long long u64;
+u64 v;
+struct s { __extension__ union { int a; long b; }; };
+#ifdef CONFIG_A
+__extension__ typedef long long s64;
+#else
+__extension__ typedef long s64;
+#endif
+`)
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&b, "s64 w%d = __extension__ %d;\nint f%d(void) { return __extension__ (int) v + w%d; }\n", i, i, i, i)
+	}
+	b.WriteString("__extension__\n")
+	var want string
+	for _, cfg := range []Config{{}, {NoStream: true}, {ParseWorkers: 4}} {
+		res, err := New(cfg).ParseString("ext.c", b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AST == nil || len(res.Parse.Diags) > 0 {
+			t.Fatalf("%+v: parse failed: %v", cfg, res.Parse.Diags)
+		}
+		if n := res.Parse.Stats.Tokens; n != res.Unit.Stats.Tokens {
+			t.Errorf("%+v: parser counted %d tokens, preprocessor %d", cfg, n, res.Unit.Stats.Tokens)
+		}
+		got := res.AST.String()
+		if strings.Contains(got, "__extension__") {
+			t.Errorf("%+v: __extension__ reached the AST:\n%s", cfg, got)
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%+v: AST differs from the streamed parse:\n%s\nwant:\n%s", cfg, got, want)
+		}
 	}
 }

@@ -708,17 +708,7 @@ func (e *Engine) reclassify(p *subparser, h head, dst []head) []head {
 		h.reclassified = true
 		return append(dst, h)
 	}
-	if !h.el.clsSet {
-		h.el.cls, h.el.clsOK = e.lang.Classify(*h.el.tok)
-		h.el.clsSet = true
-	}
-	sym, ok := h.el.cls, h.el.clsOK
-	if !ok {
-		// Token invisible to the parser (e.g. __extension__): skip ahead.
-		// Treat as a reduce-less advance: reposition past the token.
-		// Simplest correct handling: classify as identifier.
-		sym = e.lang.Identifier
-	}
+	sym := e.terminal(h.el.tok, h.el)
 	h.sym = sym
 	h.reclassified = true
 	if sym != e.lang.Identifier {

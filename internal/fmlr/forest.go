@@ -19,6 +19,7 @@ package fmlr
 
 import (
 	"repro/internal/ast"
+	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/lalr"
 	"repro/internal/preprocessor"
@@ -42,7 +43,6 @@ type element struct {
 	// Cached context-free terminal classification (engine.reclassify):
 	// every subparser visiting this token needs it, and it never changes.
 	cls    lalr.Symbol
-	clsOK  bool
 	clsSet bool
 }
 
@@ -105,6 +105,10 @@ func (fb *forestBuilder) convert(segs []preprocessor.Segment, up *element) *elem
 		tail = e
 	}
 	for _, sg := range segs {
+		if sg.IsToken() && cgrammar.Invisible(sg.Tok) {
+			fb.tokens++
+			continue
+		}
 		e := fb.newElem(up)
 		if sg.IsToken() {
 			e.tok = sg.Tok
@@ -126,9 +130,14 @@ func (fb *forestBuilder) convert(segs []preprocessor.Segment, up *element) *elem
 }
 
 // convertRun builds a top-level element chain over a dense token run,
-// pointing each element at the run's storage (no token copies).
+// pointing each element at the run's storage (no token copies). The chain
+// is empty (nil) when the run holds only invisible tokens.
 func (fb *forestBuilder) convertRun(run []token.Token) (head, tail *element) {
 	for i := range run {
+		if cgrammar.Invisible(&run[i]) {
+			fb.tokens++
+			continue
+		}
 		e := fb.newElem(nil)
 		e.tok = &run[i]
 		fb.tokens++

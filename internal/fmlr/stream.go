@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"repro/internal/cgrammar"
 	"repro/internal/guard"
 	"repro/internal/guard/faultinject"
 	"repro/internal/lalr"
@@ -132,10 +133,13 @@ func (st *streamState) materializeNext() *element {
 			if len(c.Run) > 1 {
 				st.pend, st.hasPend = preprocessor.Chunk{Run: c.Run[1:]}, true
 			}
-			st.link(h, t)
-			return h
+			if h != nil {
+				st.link(h, t)
+				return h
+			}
 		}
-		// Empty run chunk (not produced by the writer, but legal): skip.
+		// Empty run chunk (not produced by the writer, but legal) or an
+		// invisible token: skip.
 	}
 }
 
@@ -159,6 +163,9 @@ func (st *streamState) materializeRunSuffix() *element {
 	h, t := st.fb.convertRun(rest[:1])
 	if len(rest) > 1 {
 		st.pend, st.hasPend = preprocessor.Chunk{Run: rest[1:]}, true
+	}
+	if h == nil { // an invisible token
+		return st.materializeNext()
 	}
 	st.link(h, t)
 	return h
@@ -269,25 +276,27 @@ func (e *Engine) tickIter(budget *guard.Budget) bool {
 	return e.observe(budget, 1)
 }
 
+// terminal returns a visible token's context-free terminal, cached on its
+// forest element when it has one (invisible tokens never get this far: they
+// are dropped where they become parser input).
+func (e *Engine) terminal(t *token.Token, el *element) lalr.Symbol {
+	if el == nil {
+		sym, _ := e.lang.Classify(*t)
+		return sym
+	}
+	if !el.clsSet {
+		el.cls, _ = e.lang.Classify(*t)
+		el.clsSet = true
+	}
+	return el.cls
+}
+
 // fastClassify resolves one token's terminal the way reclassify does for a
-// singleton follow-set, using the element's cached context-free
-// classification when it has an element. ambiguous reports a name defined
-// as both typedef and object in the current condition — the fast path's
-// signal to hand the token to the queue loop, which forks.
+// singleton follow-set. ambiguous reports a name defined as both typedef
+// and object in the current condition — the fast path's signal to hand the
+// token to the queue loop, which forks.
 func (e *Engine) fastClassify(p *subparser, t *token.Token, el *element) (sym lalr.Symbol, ambiguous bool) {
-	var ok bool
-	if el != nil {
-		if !el.clsSet {
-			el.cls, el.clsOK = e.lang.Classify(*t)
-			el.clsSet = true
-		}
-		sym, ok = el.cls, el.clsOK
-	} else {
-		sym, ok = e.lang.Classify(*t)
-	}
-	if !ok {
-		sym = e.lang.Identifier
-	}
+	sym = e.terminal(t, el)
 	if sym != e.lang.Identifier {
 		return sym, false
 	}
@@ -334,6 +343,11 @@ func (e *Engine) fastDrain(p *subparser, budget *guard.Budget) (tripped bool) {
 				return false
 			}
 			t := &st.run[st.runIdx]
+			if cgrammar.Invisible(t) {
+				st.runIdx++
+				e.stats.TokensStreamed++
+				continue
+			}
 			sym, ambiguous := e.fastClassify(p, t, nil)
 			if ambiguous {
 				el := st.materializeRunSuffix()

@@ -27,9 +27,10 @@
 // whose first attempt panics or trips its budget is retried once; a second
 // failure quarantines the unit, which Metrics reports by path.
 //
-// While a run is in flight the workers maintain lock-free counters
-// (stats.Counter/Timer/HighWater); RunUnits returns their final values as
-// a Metrics snapshot alongside the results.
+// Every unit's measurements land in its UnitResult; once the pool drains,
+// RunUnits folds them into a Metrics snapshot returned alongside the
+// results. Only the in-flight high-water mark (stats.HighWater) is kept
+// live while workers run.
 package harness
 
 import (
@@ -463,98 +464,64 @@ func (m Metrics) String() string {
 	return b.String()
 }
 
-// collector accumulates metrics from worker goroutines.
-type collector struct {
-	failed, killed  stats.Counter
-	inFlight        stats.HighWater
-	lex, pre, parse stats.Timer
-	forks, merges   stats.Counter
-	typedefForks    stats.Counter
-	bddNodes        stats.Counter
-
-	followHits, followMisses stats.Counter
-	spReuses, spAllocs       stats.Counter
-	tokStreamed, tokMat      stats.Counter
-	streamFallbacks          stats.Counter
-	opHits, opMisses         stats.Counter
-	opEvictions              stats.Counter
-	condOps, condFastPaths   stats.Counter
-
-	budgetTrips          stats.Counter
-	axisTrips            *stats.CounterSet
-	retried, quarantined stats.Counter
-	quarMu               sync.Mutex
-	quarantinedFiles     []string
-
-	anPasses, anDiags stats.Counter
-	anWitChecks       stats.Counter
-	anWitFailures     stats.Counter
-	anInfeasible      stats.Counter
-	anErrRegions      stats.Counter
-	anByPassMu        sync.Mutex
-	anByPass          map[string]int64
-}
-
-func newCollector() *collector {
-	return &collector{
-		axisTrips: stats.NewCounterSet(int(guard.NumAxes)),
-		anByPass:  make(map[string]int64),
+// tally folds the finished units into the snapshot's per-unit sums.
+func (m *Metrics) tally(out []UnitResult, analyzed bool) {
+	m.TripsByAxis = make([]int64, guard.NumAxes)
+	if analyzed {
+		m.AnalysisByPass = make(map[string]int64)
 	}
-}
-
-// add folds one finished unit into the collector.
-func (col *collector) add(r *UnitResult) {
-	if r.ParseFail || r.Err != "" {
-		col.failed.Inc()
-	}
-	if r.Killed {
-		col.killed.Inc()
-	}
-	if r.Budget != nil {
-		col.budgetTrips.Inc()
-		col.axisTrips.Inc(int(r.Budget.Axis))
-	}
-	if r.Retried {
-		col.retried.Inc()
-	}
-	if r.Quarantined {
-		col.quarantined.Inc()
-		col.quarMu.Lock()
-		col.quarantinedFiles = append(col.quarantinedFiles, r.File)
-		col.quarMu.Unlock()
-	}
-	col.lex.Add(r.LexTime)
-	col.pre.Add(r.PreTime)
-	col.parse.Add(r.ParseTime)
-	col.forks.Add(int64(r.Parse.Forks))
-	col.merges.Add(int64(r.Parse.Merges))
-	col.typedefForks.Add(int64(r.Parse.TypedefForks))
-	col.bddNodes.Add(int64(r.BDDNodes))
-	col.followHits.Add(int64(r.Parse.FollowHits))
-	col.followMisses.Add(int64(r.Parse.FollowMisses))
-	col.spReuses.Add(int64(r.Parse.SubparserReuses))
-	col.spAllocs.Add(int64(r.Parse.SubparserAllocs))
-	col.tokStreamed.Add(int64(r.Parse.TokensStreamed))
-	col.tokMat.Add(int64(r.Parse.TokensMaterialized))
-	col.streamFallbacks.Add(int64(r.Parse.StreamFallbacks))
-	col.opHits.Add(r.BDDOpHits)
-	col.opMisses.Add(r.BDDOpMisses)
-	col.opEvictions.Add(r.BDDOpEvictions)
-	col.condOps.Add(r.CondOps)
-	col.condFastPaths.Add(r.CondFastPaths)
-	if a := r.Analysis; a != nil {
-		col.anPasses.Add(int64(a.Stats.PassesRun))
-		col.anDiags.Add(int64(a.Stats.Diagnostics))
-		col.anWitChecks.Add(int64(a.Stats.WitnessChecks))
-		col.anWitFailures.Add(int64(a.Stats.WitnessFailures))
-		col.anInfeasible.Add(int64(a.Stats.InfeasibleDropped))
-		col.anErrRegions.Add(int64(a.Stats.ErrorRegions))
-		col.anByPassMu.Lock()
-		for pass, n := range a.Stats.ByPass {
-			col.anByPass[pass] += int64(n)
+	for i := range out {
+		r := &out[i]
+		if r.ParseFail || r.Err != "" {
+			m.FailedUnits++
 		}
-		col.anByPassMu.Unlock()
+		if r.Killed {
+			m.KilledUnits++
+		}
+		if r.Budget != nil {
+			m.BudgetTrips++
+			m.TripsByAxis[r.Budget.Axis]++
+		}
+		if r.Retried {
+			m.RetriedUnits++
+		}
+		if r.Quarantined {
+			m.QuarantinedUnits++
+			m.Quarantined = append(m.Quarantined, r.File)
+		}
+		m.LexTime += r.LexTime
+		m.PreprocessTime += r.PreTime
+		m.ParseTime += r.ParseTime
+		m.Forks += int64(r.Parse.Forks)
+		m.Merges += int64(r.Parse.Merges)
+		m.TypedefForks += int64(r.Parse.TypedefForks)
+		m.BDDNodes += int64(r.BDDNodes)
+		m.FollowHits += int64(r.Parse.FollowHits)
+		m.FollowMisses += int64(r.Parse.FollowMisses)
+		m.SubparserReuses += int64(r.Parse.SubparserReuses)
+		m.SubparserAllocs += int64(r.Parse.SubparserAllocs)
+		m.TokensStreamed += int64(r.Parse.TokensStreamed)
+		m.TokensMaterialized += int64(r.Parse.TokensMaterialized)
+		m.StreamFallbacks += int64(r.Parse.StreamFallbacks)
+		m.BDDOpHits += r.BDDOpHits
+		m.BDDOpMisses += r.BDDOpMisses
+		m.BDDOpEvictions += r.BDDOpEvictions
+		m.CondOps += r.CondOps
+		m.CondFastPaths += r.CondFastPaths
+		if a := r.Analysis; a != nil && analyzed {
+			m.AnalysisPasses += int64(a.Stats.PassesRun)
+			m.AnalysisDiags += int64(a.Stats.Diagnostics)
+			m.WitnessChecks += int64(a.Stats.WitnessChecks)
+			m.WitnessFailures += int64(a.Stats.WitnessFailures)
+			m.InfeasibleDropped += int64(a.Stats.InfeasibleDropped)
+			m.SkippedErrorRegions += int64(a.Stats.ErrorRegions)
+			for pass, n := range a.Stats.ByPass {
+				m.AnalysisByPass[pass] += int64(n)
+			}
+		}
 	}
+	m.StreamBytesAvoided = m.TokensStreamed * fmlr.BytesPerStreamedToken
+	sort.Strings(m.Quarantined)
 }
 
 // Run processes every compilation unit of the corpus under cfg.
@@ -599,7 +566,7 @@ func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metri
 	parser := cfg.parser()
 	jobs := cfg.jobs(len(in.Files))
 	out := make([]UnitResult, len(in.Files))
-	col := newCollector()
+	var inFlight stats.HighWater
 	hc := cfg.headerCache()
 	var hcBefore hcache.Snapshot
 	if hc != nil {
@@ -622,17 +589,15 @@ func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metri
 				file := in.Files[i]
 				if ctx.Err() != nil {
 					out[i] = UnitResult{File: file, ParseFail: true, Err: "run cancelled"}
-					col.add(&out[i])
 					continue
 				}
 				if in.Cache != nil {
 					if r, ok := in.Cache.Get(i); ok {
 						out[i] = r
-						col.add(&out[i])
 						continue
 					}
 				}
-				col.inFlight.Enter()
+				inFlight.Enter()
 				r := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
 				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
 					retry := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
@@ -642,12 +607,11 @@ func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metri
 					}
 					r = retry
 				}
-				col.inFlight.Exit()
+				inFlight.Exit()
 				out[i] = r
 				if in.Cache != nil {
 					in.Cache.Put(i, &out[i])
 				}
-				col.add(&out[i])
 			}
 		}()
 	}
@@ -659,53 +623,17 @@ func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metri
 
 	hits, misses := cgrammar.TableCacheStats()
 	m := Metrics{
-		Jobs:               jobs,
-		Units:              len(out),
-		FailedUnits:        int(col.failed.Load()),
-		KilledUnits:        int(col.killed.Load()),
-		MaxInFlight:        int(col.inFlight.Max()),
-		LexTime:            col.lex.Total(),
-		PreprocessTime:     col.pre.Total(),
-		ParseTime:          col.parse.Total(),
-		WallTime:           time.Since(start),
-		Forks:              col.forks.Load(),
-		Merges:             col.merges.Load(),
-		TypedefForks:       col.typedefForks.Load(),
-		BDDNodes:           col.bddNodes.Load(),
-		FollowHits:         col.followHits.Load(),
-		FollowMisses:       col.followMisses.Load(),
-		SubparserReuses:    col.spReuses.Load(),
-		SubparserAllocs:    col.spAllocs.Load(),
-		TokensStreamed:     col.tokStreamed.Load(),
-		TokensMaterialized: col.tokMat.Load(),
-		StreamFallbacks:    col.streamFallbacks.Load(),
-		StreamBytesAvoided: col.tokStreamed.Load() * fmlr.BytesPerStreamedToken,
-		BDDOpHits:          col.opHits.Load(),
-		BDDOpMisses:        col.opMisses.Load(),
-		BDDOpEvictions:     col.opEvictions.Load(),
-		CondOps:            col.condOps.Load(),
-		CondFastPaths:      col.condFastPaths.Load(),
-		BudgetTrips:        int(col.budgetTrips.Load()),
-		TripsByAxis:        col.axisTrips.Snapshot(),
-		RetriedUnits:       int(col.retried.Load()),
-		QuarantinedUnits:   int(col.quarantined.Load()),
-		TableCacheHits:     hits,
-		TableCacheMisses:   misses,
-		TableCacheState:    cgrammar.TableCacheState(),
-		HeaderCacheState:   "off",
-		StoreState:         "off",
+		Jobs:             jobs,
+		Units:            len(out),
+		MaxInFlight:      int(inFlight.Max()),
+		WallTime:         time.Since(start),
+		TableCacheHits:   hits,
+		TableCacheMisses: misses,
+		TableCacheState:  cgrammar.TableCacheState(),
+		HeaderCacheState: "off",
+		StoreState:       "off",
 	}
-	sort.Strings(col.quarantinedFiles)
-	m.Quarantined = col.quarantinedFiles
-	if len(cfg.Analyzers) > 0 {
-		m.AnalysisPasses = col.anPasses.Load()
-		m.AnalysisDiags = col.anDiags.Load()
-		m.WitnessChecks = col.anWitChecks.Load()
-		m.WitnessFailures = col.anWitFailures.Load()
-		m.InfeasibleDropped = col.anInfeasible.Load()
-		m.SkippedErrorRegions = col.anErrRegions.Load()
-		m.AnalysisByPass = col.anByPass
-	}
+	m.tally(out, len(cfg.Analyzers) > 0)
 	if cfg.Link {
 		// The join runs once, after the pool drains, over cached and fresh
 		// facts in input order — worker scheduling cannot reach it, so the

@@ -8,9 +8,9 @@
 //   - Sample (this file) collects observations after the fact and is NOT
 //     safe for concurrent use; the harness aggregates per-unit results
 //     into Samples only once a run has completed.
-//   - Counter, Timer, and HighWater (metrics.go) are lock-free atomics
-//     written by the harness's worker goroutines while a parallel run is
-//     in progress and read via harness.Metrics snapshots.
+//   - Counter and HighWater (metrics.go) are lock-free atomics written
+//     from many goroutines while work is in progress: the parse-table
+//     cache's hit counters and the harness's units-in-flight mark.
 package stats
 
 import (
