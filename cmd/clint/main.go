@@ -245,7 +245,7 @@ func viaDaemon(addr string, opts daemon.ClientOptions, files []string, mode stri
 		Mode:         mode,
 		Passes:       passNames,
 		Jobs:         cfg.Jobs,
-		ParseWorkers: cfg.ParseWorkers,
+		ParseWorkers: cfg.Parser.ParseWorkers,
 		Limits:       limits,
 	})
 	if err != nil {
@@ -260,7 +260,7 @@ func viaDaemon(addr string, opts daemon.ClientOptions, files []string, mode stri
 		Defines:      cfg.Defines,
 		Mode:         mode,
 		Jobs:         cfg.Jobs,
-		ParseWorkers: cfg.ParseWorkers,
+		ParseWorkers: cfg.Parser.ParseWorkers,
 		Limits:       limits,
 	})
 	if err != nil {

@@ -137,7 +137,7 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 		Mode:         "bdd",
 		Opt:          "all",
 		Jobs:         cfg.Jobs,
-		ParseWorkers: cfg.ParseWorkers,
+		ParseWorkers: cfg.Parser.ParseWorkers,
 		Limits:       daemon.FromGuard(cfg.Budget),
 	}
 	if len(cfg.Analyzers) > 0 {

@@ -190,21 +190,19 @@ type benchParallel struct {
 	Points []benchParallelPoint `json:"points"`
 }
 
-// benchStreaming compares the stream-fused pipeline (preprocessor chunks
-// feeding the engine's cursor fast path) against the materialized
-// segment-slab pipeline on the same corpus, parse stage only, at the
-// default optimization level. StreamShare is the fraction of tokens the
-// cursor gear consumed in place; CI's bench-smoke ratchet
-// (TestStreamSpeedRatchet) re-measures the same two arms in-process and
-// fails if streaming regresses more than 10% against materialized.
+// benchStreaming records the stream-fused pipeline (preprocessor chunks
+// feeding the engine's cursor fast path) on the corpus, parse stage only,
+// at the default optimization level. StreamShare is the fraction of tokens
+// the cursor gear consumed in place; CI's bench-smoke ratchet
+// (TestStreamSpeedRatchet in internal/fmlr) times the pipeline in-process
+// against the test-only reference parse and fails if it regresses more
+// than 10% against it.
 type benchStreaming struct {
-	StreamNsPerOp       int64   `json:"stream_ns_per_op"`
-	MaterializedNsPerOp int64   `json:"materialized_ns_per_op"`
-	Speedup             float64 `json:"speedup_vs_materialized"`
-	TokensStreamed      int64   `json:"tokens_streamed"`
-	TokensMaterialized  int64   `json:"tokens_materialized"`
-	StreamFallbacks     int64   `json:"stream_fallbacks"`
-	StreamShare         float64 `json:"stream_share"`
+	StreamNsPerOp      int64   `json:"stream_ns_per_op"`
+	TokensStreamed     int64   `json:"tokens_streamed"`
+	TokensMaterialized int64   `json:"tokens_materialized"`
+	StreamFallbacks    int64   `json:"stream_fallbacks"`
+	StreamShare        float64 `json:"stream_share"`
 }
 
 // benchLayers holds per-layer costs, normalized per token so layers and
@@ -346,23 +344,10 @@ func runBenchJSON(c *corpus.Corpus, base harness.RunConfig, kill int, path, stor
 		fmt.Printf("%-24s %12d ns/op %10d allocs/op %8d peak subparsers (%d killed)\n",
 			lv.Name, entry.NsPerOp, entry.AllocsPerOp, entry.MaxSubparsers, entry.KilledUnits)
 	}
-	// Streaming vs materialized pipeline, parse stage only: the chunked
-	// units prepared above are the streaming arm; a second preprocessing
-	// pass with the kill switch thrown prepares the segment-slab arm. Both
-	// arms exclude preprocessing from the timed region.
-	matTool := core.New(core.Config{FS: c.FS, IncludePaths: harness.IncludePaths, NoStream: true})
-	matUnits := make([]*preprocessor.Unit, 0, len(c.CFiles))
-	for _, cf := range c.CFiles {
-		u, err := matTool.Preprocess(cf)
-		if err != nil {
-			return fmt.Errorf("preprocess (materialized) %s: %w", cf, err)
-		}
-		matUnits = append(matUnits, u)
-	}
+	// The streaming pipeline's flow and parse time over the units prepared
+	// above; preprocessing is outside the timed region.
 	streamOpts := fmlr.OptAll
 	streamOpts.KillSwitch = kill
-	matOpts := streamOpts
-	matOpts.NoStream = true
 	var flow fmlr.Stats
 	for _, u := range units {
 		res := fmlr.New(tool.Space(), lang, streamOpts).ParseUnit(u)
@@ -370,32 +355,26 @@ func runBenchJSON(c *corpus.Corpus, base harness.RunConfig, kill int, path, stor
 		flow.TokensMaterialized += res.Stats.TokensMaterialized
 		flow.StreamFallbacks += res.Stats.StreamFallbacks
 	}
-	timeArm := func(us []*preprocessor.Unit, space *cond.Space, opts fmlr.Options) int64 {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, u := range us {
-					fmlr.New(space, lang, opts).ParseUnit(u)
-				}
+	streamNs := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, u := range units {
+				fmlr.New(tool.Space(), lang, streamOpts).ParseUnit(u)
 			}
-		}).NsPerOp()
-	}
-	streamNs := timeArm(units, tool.Space(), streamOpts)
-	matNs := timeArm(matUnits, matTool.Space(), matOpts)
+		}
+	}).NsPerOp()
 	split := flow.TokensStreamed + flow.TokensMaterialized
 	if split == 0 {
 		split = 1
 	}
 	out.Streaming = benchStreaming{
-		StreamNsPerOp:       streamNs,
-		MaterializedNsPerOp: matNs,
-		Speedup:             float64(matNs) / float64(streamNs),
-		TokensStreamed:      int64(flow.TokensStreamed),
-		TokensMaterialized:  int64(flow.TokensMaterialized),
-		StreamFallbacks:     int64(flow.StreamFallbacks),
-		StreamShare:         float64(flow.TokensStreamed) / float64(split),
+		StreamNsPerOp:      streamNs,
+		TokensStreamed:     int64(flow.TokensStreamed),
+		TokensMaterialized: int64(flow.TokensMaterialized),
+		StreamFallbacks:    int64(flow.StreamFallbacks),
+		StreamShare:        float64(flow.TokensStreamed) / float64(split),
 	}
-	fmt.Printf("streaming: %12d ns/op vs materialized %12d ns/op  %.2fx (%.0f%% of tokens streamed, %d fallbacks)\n",
-		streamNs, matNs, out.Streaming.Speedup, out.Streaming.StreamShare*100, flow.StreamFallbacks)
+	fmt.Printf("streaming: %12d ns/op (%.0f%% of tokens streamed, %d fallbacks)\n",
+		streamNs, out.Streaming.StreamShare*100, flow.StreamFallbacks)
 
 	par, err := runBenchParallel(lang)
 	if err != nil {
@@ -532,7 +511,7 @@ func runBenchParallel(lang *cgrammar.C) (benchParallel, error) {
 		opts.ParseWorkers = w
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := fmlr.New(space, lang, opts).Parse(u.Segments, u.File); res.AST == nil {
+				if res := fmlr.New(space, lang, opts).ParseUnit(u); res.AST == nil {
 					b.Fatalf("giant unit failed to parse at workers=%d", w)
 				}
 			}

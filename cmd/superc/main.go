@@ -88,10 +88,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "superc: unknown -mode %q\n", *mode)
 		return 2
 	}
+	workers := rc.Parser.ParseWorkers
 	if rc.Parser, ok = fmlr.OptionsByName(*opt); !ok {
 		fmt.Fprintf(stderr, "superc: unknown -opt %q\n", *opt)
 		return 2
 	}
+	rc.Parser.ParseWorkers = workers
 	rc.Single = *single
 	source(&rc)
 	if err := openStore(); err != nil {
@@ -118,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Opt:          *opt,
 			Single:       rc.Single,
 			Jobs:         rc.Jobs,
-			ParseWorkers: rc.ParseWorkers,
+			ParseWorkers: rc.Parser.ParseWorkers,
 			Limits:       daemon.FromGuard(rc.Budget),
 		}); err != nil {
 			fmt.Fprintf(stderr, "superc: %v; running in-process\n", err)

@@ -34,14 +34,17 @@ func run(p *analysis.Pass) error {
 		})
 	}
 
-	// Block scopes: check each block-scope declarator against the entries
-	// already in its own scope before it enters the table; a block-scope
-	// extern declaration refers, it does not define. Distinct textual definitions visited through
-	// different choice alternatives carry disjoint conditions, so re-visits
-	// of one definition never self-conflict.
+	// Block scopes: check each block-scope declarator and enumerator against
+	// the entries already in its own scope before it enters the table (an
+	// enumerator as an object); a block-scope extern declaration refers, it
+	// does not define. Parameters stay out: the walker gives them a scope of
+	// their own. Distinct textual definitions visited through different
+	// choice alternatives carry disjoint conditions, so re-visits of one
+	// definition never self-conflict.
 	if u.AST != nil {
 		analysis.NewScopes(u.Space, func(tab *symtab.Table, s analysis.Sighting) bool {
-			if s.Kind != analysis.Declarator || tab.Depth() == 1 || analysis.HasLeaf(s.Decl.Children[0], "extern") {
+			if tab.Depth() == 1 || (s.Kind != analysis.Declarator && s.Kind != analysis.Enumerator) ||
+				(s.Kind == analysis.Declarator && analysis.HasLeaf(s.Decl.Children[0], "extern")) {
 				return false
 			}
 			checkRedefinition(p, tab, s)

@@ -136,3 +136,28 @@ int f(void) {
 		t.Errorf("disjoint block-scope definitions flagged: %+v", r.Diags)
 	}
 }
+
+func TestBlockScopeEnumeratorRedefinition(t *testing.T) {
+	// A block-scope enumerator is an ordinary identifier of its scope: a
+	// later same-scope object of the same name is a redefinition (gcc
+	// rejects this unit under CONFIG_H).
+	r, tool := lint(t, `
+int f(void) {
+    enum { EN1 };
+#ifdef CONFIG_H
+    int EN1;
+#endif
+    return 0;
+}
+`)
+	if len(r.Diags) != 1 {
+		t.Fatalf("diags: %+v", r.Diags)
+	}
+	d := r.Diags[0]
+	if !strings.Contains(d.Msg, `"EN1" redefined in the same scope`) {
+		t.Errorf("msg: %s", d.Msg)
+	}
+	if s := tool.Space(); !s.Equal(d.Cond, s.Var("(defined CONFIG_H)")) {
+		t.Errorf("cond = %s, want (defined CONFIG_H)", s.String(d.Cond))
+	}
+}

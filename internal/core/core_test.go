@@ -118,9 +118,9 @@ func TestParserOptionOverride(t *testing.T) {
 
 // TestExtensionMarkerIsInvisible: gcc's __extension__ never reaches the
 // parser, so glibc-style declarations behind it parse clean, and alike
-// whether tokens stream through the cursor, are materialized into the
-// forest, or are parsed in parallel regions (the unit is long enough to
-// split).
+// whether tokens stream through the cursor or are materialized into the
+// forest (the conditional forces both), sequentially or in parallel regions
+// (the unit is long enough to split).
 func TestExtensionMarkerIsInvisible(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(`__extension__ typedef unsigned long long u64;
@@ -137,7 +137,7 @@ __extension__ typedef long s64;
 	}
 	b.WriteString("__extension__\n")
 	var want string
-	for _, cfg := range []Config{{}, {NoStream: true}, {ParseWorkers: 4}} {
+	for _, cfg := range []Config{{}, {ParseWorkers: 4}} {
 		res, err := New(cfg).ParseString("ext.c", b.String())
 		if err != nil {
 			t.Fatal(err)

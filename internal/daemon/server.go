@@ -322,12 +322,12 @@ func (s *Server) runConfig(mode, opt string, includes []string, defines map[stri
 	if !ok {
 		return harness.RunConfig{}, fmt.Errorf("unknown optimization level %q", opt)
 	}
+	o.ParseWorkers = s.parseWorkers(parseWorkers)
 	return harness.RunConfig{
 		Mode:         m,
 		Parser:       o,
 		Defines:      defines,
 		Jobs:         s.jobs(jobs),
-		ParseWorkers: s.parseWorkers(parseWorkers),
 		IncludePaths: includes,
 		HeaderCache:  s.hc,
 		Budget:       Clamp(limits.ToGuard(), s.cfg.Caps),

@@ -10,9 +10,7 @@ import (
 	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/guard"
-	"repro/internal/guard/faultinject"
 	"repro/internal/lalr"
-	"repro/internal/preprocessor"
 	"repro/internal/symtab"
 	"repro/internal/token"
 )
@@ -59,11 +57,6 @@ type Options struct {
 	// byte-identical to ParseWorkers: 1 at any worker count. 0 and 1 mean
 	// sequential.
 	ParseWorkers int
-	// NoStream disables the streaming fast path: ParseUnit materializes the
-	// classic segment slab and runs the queue loop unconditionally. The two
-	// paths are proven equivalent by the differential suite (stream_test.go);
-	// this is the kill switch should a difference ever matter in the field.
-	NoStream bool
 }
 
 // AutoWorkers is the "GOMAXPROCS-aware" intra-unit worker count the CLIs
@@ -295,42 +288,6 @@ func New(space *cond.Space, lang *cgrammar.C, opts Options) *Engine {
 	return e
 }
 
-// Parse runs the FMLR algorithm (Algorithm 2) over a preprocessed unit.
-// With Options.ParseWorkers > 1 it first attempts the region-parallel
-// strategy (parallel.go), falling back to the sequential parse whenever the
-// unit does not split cleanly or the equivalence gate fails.
-func (e *Engine) Parse(segs []preprocessor.Segment, file string) *Result {
-	if e.opts.ParseWorkers > 1 {
-		if res, ok := e.parseParallel(segs, nil, file); ok {
-			return res
-		}
-	}
-	return e.parseSeq(segs, file)
-}
-
-// parseSeq is the sequential FMLR parse: one priority queue of subparsers
-// stepped in document order.
-func (e *Engine) parseSeq(segs []preprocessor.Segment, file string) *Result {
-	budget := e.opts.Budget
-	faultinject.At(faultinject.PointParse, file, budget)
-	e.acquireScratch()
-	defer e.releaseScratch()
-	first, ntokens := buildForest(segs, file)
-	e.beginParse()
-	e.stats = Stats{Tokens: ntokens, TokensMaterialized: ntokens}
-
-	p0 := e.newSub()
-	p0.c = e.space.True()
-	p0.el = first
-	p0.stack = e.pushNode(0, -1, nil, nil)
-	p0.tab = e.newRootTab()
-	p0.ownTab = true
-	e.insert(p0)
-
-	tripped := e.runLoop(budget)
-	return e.finishParse(budget, tripped)
-}
-
 // beginParse wires the freshly acquired scratch block into the engine and
 // clears the per-parse result state.
 func (e *Engine) beginParse() {
@@ -369,9 +326,10 @@ func (e *Engine) observe(budget *guard.Budget, n int) bool {
 
 // runLoop is the main parse loop: pop the earliest subparser, resolve or
 // step it, until the queue drains, the kill switch fires, or the budget
-// trips. In streaming mode a lone unresolved subparser positioned at an
-// ordinary token is handed to the fast path (stream.go), which steps tokens
-// without queue traffic until variability reappears.
+// trips. While a chunk stream is attached (every parse but the tests'
+// reference) a lone unresolved subparser positioned at an ordinary token is
+// handed to the fast path (stream.go), which steps tokens without queue
+// traffic until variability reappears.
 func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 	for e.queue.Len() > 0 {
 		if e.stream != nil && e.queue.Len() == 1 && e.opts.KillSwitch >= 1 {

@@ -71,9 +71,8 @@ type branchElem struct {
 const elemSlabSize = 256
 
 // forestBuilder slab-allocates forest elements with a monotonically
-// increasing document order. buildForest uses one for the whole unit; the
-// streaming parse (stream.go) keeps one alive across chunks so lazily
-// materialized elements continue the same ord sequence.
+// increasing document order. The parse (stream.go) keeps one alive across
+// chunks so lazily materialized elements continue the same ord sequence.
 type forestBuilder struct {
 	slab   []element
 	ord    int
@@ -158,30 +157,11 @@ func (fb *forestBuilder) newEOF(file string) *element {
 	return eof
 }
 
-// buildForest converts preprocessor segments into the linked forest,
-// appending a synthetic EOF token. It returns the first element and the
-// total token count.
-func buildForest(segs []preprocessor.Segment, file string) (first *element, tokens int) {
-	var fb forestBuilder
-	first = fb.convert(segs, nil)
-	eof := fb.newEOF(file)
-	if first == nil {
-		return eof, fb.tokens
-	}
-	// Append EOF at top level.
-	last := first
-	for last.next != nil {
-		last = last.next
-	}
-	last.next = eof
-	return first, fb.tokens
-}
-
 // after returns the next token or conditional after el, stepping out of
 // enclosing conditionals when el ends its branch (Algorithm 3 line 28 /
-// line 21's "next token or conditional"). In streaming mode the forest is
-// materialized lazily, so reaching the top level's current tail pulls the
-// next chunk from the stream (stream.go) instead of reporting end of input.
+// line 21's "next token or conditional"). The forest is materialized
+// lazily, so reaching the top level's current tail pulls the next chunk
+// from the stream (stream.go) instead of reporting end of input.
 func (e *Engine) after(el *element) *element {
 	for el != nil {
 		if el.next != nil {

@@ -12,9 +12,10 @@ import (
 // FuzzBlockSplit fuzzes the region splitter's invariants on arbitrary
 // source text:
 //
-//  1. Structure: the chosen regions partition the unit's top-level segments
-//     contiguously, every non-final region ends on a top-level ";" or "}"
-//     token, and no region is empty.
+//  1. Structure: the chosen regions partition the unit's top-level chunks
+//     contiguously, position by position (a run token or a whole
+//     conditional, with runs cut only between tokens), every non-final
+//     region ends on a top-level ";" or "}" token, and no region is empty.
 //  2. Equivalence: parsing with the region-parallel strategy (workers=4)
 //     yields exactly the sequential AST, diagnostics, and kill flag —
 //     whether the split is admitted or the engine falls back.
@@ -51,37 +52,46 @@ func FuzzBlockSplit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		segs := u.Segments
-
 		// Invariant 1: structural soundness of any split the splitter offers.
-		if regions, ok := splitRegions(s, segs, 4); ok {
+		if regions, ok := splitRegions(s, u.Chunks, 4); ok {
 			if len(regions) < 2 {
 				t.Fatalf("split claimed ok with %d regions", len(regions))
 			}
-			total := 0
+			var joined []preprocessor.Chunk
 			for ri, rg := range regions {
-				if len(rg.segs) == 0 {
+				if len(rg.chunks) == 0 {
 					t.Fatalf("region %d is empty", ri)
 				}
-				total += len(rg.segs)
+				joined = append(joined, rg.chunks...)
 				if ri == len(regions)-1 {
 					continue
 				}
-				last := rg.segs[len(rg.segs)-1]
-				if !last.IsToken() || !(last.Tok.Is(";") || last.Tok.Is("}")) {
-					t.Fatalf("region %d ends on %v, not a top-level ';' or '}'", ri, last)
+				last := rg.chunks[len(rg.chunks)-1]
+				if last.Cond != nil || len(last.Run) == 0 {
+					t.Fatalf("region %d ends on a conditional or an empty run", ri)
+				}
+				if tk := last.Run[len(last.Run)-1]; !(tk.Is(";") || tk.Is("}")) {
+					t.Fatalf("region %d ends on %v, not a top-level ';' or '}'", ri, tk)
 				}
 				if regions[ri].seed == nil && ri > 0 {
 					t.Fatalf("region %d has no seed snapshot", ri)
 				}
 			}
-			if total != len(segs) {
-				t.Fatalf("regions cover %d of %d segments", total, len(segs))
+			// Concatenated, the regions replay the unit position by
+			// position, pointing at the same tokens and conditionals.
+			got, want := topLevel(joined), topLevel(u.Chunks)
+			if len(got) != len(want) {
+				t.Fatalf("regions cover %d of %d top-level positions", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("top-level position %d differs between the regions and the unit", i)
+				}
 			}
 		}
 
 		// Invariant 2: split-then-stitch equals the unsplit parse.
-		seq := New(s, lang, OptAll).Parse(segs, "main.c")
+		seq := New(s, lang, OptAll).ParseUnit(u)
 		popts := OptAll
 		popts.ParseWorkers = 4
 		s2 := cond.NewSpace(cond.ModeBDD)
@@ -90,7 +100,7 @@ func FuzzBlockSplit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second preprocess disagrees: %v", err)
 		}
-		par := New(s2, lang, popts).Parse(u2.Segments, "main.c")
+		par := New(s2, lang, popts).ParseUnit(u2)
 		if !sameAST(s, seq, s2, par) {
 			t.Fatal("parallel AST diverges from sequential")
 		}
@@ -99,4 +109,20 @@ func FuzzBlockSplit(f *testing.F) {
 				len(par.Diags), par.Killed, len(seq.Diags), seq.Killed)
 		}
 	})
+}
+
+// topLevel lists a chunk list's top-level positions: the address of each
+// run token and each conditional.
+func topLevel(chunks []preprocessor.Chunk) []any {
+	var out []any
+	for _, c := range chunks {
+		if c.Cond != nil {
+			out = append(out, c.Cond)
+			continue
+		}
+		for i := range c.Run {
+			out = append(out, &c.Run[i])
+		}
+	}
+	return out
 }

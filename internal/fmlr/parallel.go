@@ -40,10 +40,8 @@ import (
 
 // parseParallel attempts the region-parallel strategy. ok is false when the
 // unit is inadmissible, does not split, or fails the equivalence gate; the
-// caller then runs the sequential parse. A non-nil chunks (the unit's
-// streaming form, covering exactly segs) makes each region parse through
-// the streaming fast path; the split itself always works on segments.
-func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocessor.Chunk, file string) (*Result, bool) {
+// caller then runs the sequential parse.
+func (e *Engine) parseParallel(chunks []preprocessor.Chunk, file string) (*Result, bool) {
 	if e.space.Mode() != cond.ModeBDD {
 		return nil, false
 	}
@@ -55,12 +53,9 @@ func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocesso
 		lim.Hoist > 0 || lim.BDDNodes > 0 || lim.Subparsers > 0 {
 		return nil, false
 	}
-	regions, ok := splitRegions(e.space, segs, e.opts.ParseWorkers)
+	regions, ok := splitRegions(e.space, chunks, e.opts.ParseWorkers)
 	if !ok {
 		return nil, false
-	}
-	if chunks != nil {
-		splitChunksAt(regions, chunks)
 	}
 
 	ropts := e.opts
@@ -142,11 +137,7 @@ func runRegion(space *cond.Space, lang *cgrammar.C, opts Options, rg region, fil
 	s.seed = rg.seed
 	s.track = true
 	*sub = s
-	if rg.chunks != nil {
-		*res = s.parseStream(preprocessor.NewChunkSource(rg.chunks), file)
-	} else {
-		*res = s.parseSeq(rg.segs, file)
-	}
+	*res = s.parseStream(rg.chunks, file)
 }
 
 // applyFileDefs replays recorded file-scope definitions onto the typedef

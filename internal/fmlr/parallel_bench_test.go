@@ -36,7 +36,7 @@ func BenchmarkParseGiantUnit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := New(s, lang, opts).Parse(u.Segments, "main.c")
+				res := New(s, lang, opts).ParseUnit(u)
 				if res.AST == nil {
 					b.Fatalf("parse failed: %+v", res.Diags)
 				}

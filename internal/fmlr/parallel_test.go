@@ -43,8 +43,7 @@ func normStats(s Stats) Stats {
 	return s
 }
 
-// parseWith parses src with the given options through the public Parse
-// entry point.
+// parseWith parses src with the given options through ParseUnit.
 func parseWith(t *testing.T, src string, opts Options) (*Result, *cond.Space) {
 	t.Helper()
 	return parseSrc(t, map[string]string{"main.c": src}, opts)
@@ -199,7 +198,7 @@ func TestParallelPathEngages(t *testing.T) {
 	opts := OptAll
 	opts.ParseWorkers = 4
 	eng := New(s, cgrammar.MustLoad(), opts)
-	res, ok := eng.parseParallel(u.Segments, nil, "main.c")
+	res, ok := eng.parseParallel(u.Chunks, "main.c")
 	if !ok {
 		t.Fatal("parseParallel declined the generated corpus; differential coverage is vacuous")
 	}
@@ -210,7 +209,7 @@ func TestParallelPathEngages(t *testing.T) {
 
 // TestParallelSplitDeclines checks the conservative bail-outs: tiny units,
 // SAT-mode spaces, and units whose typedefs straddle conditionals must fall
-// back (and still produce the sequential answer through Parse).
+// back (and still produce the sequential answer through ParseUnit).
 func TestParallelSplitDeclines(t *testing.T) {
 	t.Run("tiny", func(t *testing.T) {
 		opts := OptAll
@@ -222,8 +221,8 @@ func TestParallelSplitDeclines(t *testing.T) {
 	})
 	t.Run("straddling-typedef", func(t *testing.T) {
 		// The typedef keyword and its declarator live in different branches;
-		// the prescan must poison rather than mis-seed, and Parse must still
-		// agree with sequential.
+		// the prescan must poison rather than mis-seed, and ParseUnit must
+		// still agree with sequential.
 		var b strings.Builder
 		b.WriteString("#ifdef FEAT_A\ntypedef int\n#else\ntypedef long\n#endif\nweird_t;\n")
 		b.WriteString("weird_t w = 0;\n")
@@ -251,10 +250,10 @@ func TestParallelSplitDeclines(t *testing.T) {
 		opts := OptAll
 		opts.ParseWorkers = 4
 		eng := New(s, cgrammar.MustLoad(), opts)
-		if _, ok := eng.parseParallel(u.Segments, nil, "main.c"); ok {
+		if _, ok := eng.parseParallel(u.Chunks, "main.c"); ok {
 			t.Fatal("parseParallel admitted a SAT-mode space")
 		}
-		if res := eng.Parse(u.Segments, "main.c"); res.AST == nil {
+		if res := eng.ParseUnit(u); res.AST == nil {
 			t.Fatalf("SAT-mode fallback parse failed: %+v", res.Diags)
 		}
 	})

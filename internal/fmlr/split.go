@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the region splitter behind the region-parallel parse
-// (parallel.go): a lexical pass over the unit's top-level segments that
-// finds cut points where the unit can be sliced into independently
+// (parallel.go): a lexical pass over the unit's top-level chunks that finds
+// cut points where the unit can be sliced into independently
 // parseable regions, and prescans the typedef declarations so each region's
 // symbol table can be seeded with the names in scope at its start.
 //
@@ -22,13 +22,9 @@ import (
 // structurally identical to the sequential parse (the fuzz target
 // FuzzBlockSplit checks them directly).
 
-// region is one slice of the unit's top-level segments plus the typedef
+// region is one slice of the unit's top-level chunks plus the typedef
 // conditions lexically in scope at its start (nil for the first region).
-// When the unit arrived as a chunk stream, chunks holds the same slice of
-// the input in chunk form (splitChunksAt) and the region parses through the
-// streaming fast path instead of the segment slab.
 type region struct {
-	segs   []preprocessor.Segment
 	chunks []preprocessor.Chunk
 	seed   map[string]cond.Cond
 }
@@ -37,16 +33,21 @@ type region struct {
 // per-region EOF bookkeeping and seam validation dominate the parse.
 const minRegionTokens = 128
 
-// cutPoint marks a legal region boundary between segs[after] and
-// segs[after+1].
+// A top-level position is one token of a run chunk or one whole
+// conditional chunk, numbered in document order; chunkPos addresses one in
+// the chunk list (off is 0 for a conditional).
+type chunkPos struct{ ci, off int }
+
+// cutPoint marks a legal region boundary after top-level position after.
 type cutPoint struct {
-	after  int // cut after this top-level segment index
-	weight int // tokens in segs[:after+1], counting all conditional branches
+	after  int      // cut after this top-level position
+	weight int      // tokens up to and including after, counting all conditional branches
+	next   chunkPos // the position the next region starts at
 }
 
 // typedefEvent is one prescanned file-scope typedef name, in document order.
 type typedefEvent struct {
-	seg  int // top-level segment index of the declaration's end
+	pos  int // top-level position of the declaration's end
 	name string
 	c    cond.Cond // presence condition of the declaration
 }
@@ -135,16 +136,16 @@ type depthDelta struct{ brace, paren, bracket int }
 // returning the branch's depth displacement. ok is false when the branch is
 // unanalyzable: a typedef crossing its boundary, or a nested conditional
 // whose branches displace depth unequally.
-func scanBranch(space *cond.Space, segs []preprocessor.Segment, m typedefScan, path cond.Cond, topSeg int, events *[]typedefEvent) (depthDelta, bool) {
+func scanBranch(space *cond.Space, segs []preprocessor.Segment, m typedefScan, path cond.Cond, topPos int, events *[]typedefEvent) (depthDelta, bool) {
 	base := depthDelta{m.brace, m.paren, m.bracket}
 	for _, sg := range segs {
 		if sg.IsToken() {
 			for _, n := range m.tok(sg.Tok) {
-				*events = append(*events, typedefEvent{seg: topSeg, name: n, c: path})
+				*events = append(*events, typedefEvent{pos: topPos, name: n, c: path})
 			}
 			continue
 		}
-		d, ok := scanCond(space, sg, m, path, topSeg, events)
+		d, ok := scanCond(space, sg.Cond, m, path, topPos, events)
 		if !ok {
 			return depthDelta{}, false
 		}
@@ -158,10 +159,10 @@ func scanBranch(space *cond.Space, segs []preprocessor.Segment, m typedefScan, p
 	return depthDelta{m.brace - base.brace, m.paren - base.paren, m.bracket - base.bracket}, true
 }
 
-// scanCond analyzes one conditional segment: every reachable branch must
-// displace depth identically, and by zero when the branches do not cover
-// every configuration (the implicit else contributes nothing).
-func scanCond(space *cond.Space, sg preprocessor.Segment, m typedefScan, path cond.Cond, topSeg int, events *[]typedefEvent) (depthDelta, bool) {
+// scanCond analyzes one conditional: every reachable branch must displace
+// depth identically, and by zero when the branches do not cover every
+// configuration (the implicit else contributes nothing).
+func scanCond(space *cond.Space, cnd *preprocessor.Conditional, m typedefScan, path cond.Cond, topPos int, events *[]typedefEvent) (depthDelta, bool) {
 	if m.active {
 		// A typedef declaration straddling a conditional is beyond the
 		// lexical prescan.
@@ -170,13 +171,13 @@ func scanCond(space *cond.Space, sg preprocessor.Segment, m typedefScan, path co
 	var delta depthDelta
 	first := true
 	covered := space.False()
-	for _, br := range sg.Cond.Branches {
+	for _, br := range cnd.Branches {
 		covered = space.Or(covered, br.Cond)
 		bp := space.And(path, br.Cond)
 		if space.IsFalse(bp) {
 			continue
 		}
-		d, ok := scanBranch(space, br.Segs, m, bp, topSeg, events)
+		d, ok := scanBranch(space, br.Segs, m, bp, topPos, events)
 		if !ok {
 			return depthDelta{}, false
 		}
@@ -201,8 +202,8 @@ func scanCond(space *cond.Space, sg preprocessor.Segment, m typedefScan, path co
 // benchmark unit factors 2 and 4 measured equal and 1 slightly slower. ok
 // is false when the unit yields fewer than two regions worth parsing
 // concurrently.
-func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]region, bool) {
-	total := preprocessor.CountTokens(segs)
+func splitRegions(space *cond.Space, chunks []preprocessor.Chunk, want int) ([]region, bool) {
+	total := preprocessor.CountChunkTokens(chunks)
 	if want < 2 || total < 2*minRegionTokens {
 		return nil, false
 	}
@@ -215,21 +216,41 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 	}
 
 	// One pass: track depth, run the typedef machine, and collect candidate
-	// cuts and typedef events until the walk poisons (an unanalyzable
-	// conditional stops further cutting but does not fail the unit — the
-	// remainder simply becomes part of the final region).
+	// cuts, conditional positions and typedef events until the walk poisons
+	// (an unanalyzable conditional stops further cutting but does not fail
+	// the unit — the remainder simply becomes part of the final region).
 	var (
 		m        typedefScan
 		cuts     []cutPoint
+		conds    []int // positions of the conditionals walked
 		events   []typedefEvent
 		weight   int
 		prevText string
 		funcBody bool
 	)
-	condAt := make([]bool, len(segs))
-	for i, sg := range segs {
-		if sg.IsToken() {
-			tk := sg.Tok
+	pos := -1
+	for ci, c := range chunks {
+		if c.Cond != nil {
+			// A conditional between ")" and "{" hides the function-body
+			// signal; resetting the lookbehind merely forfeits that cut.
+			pos++
+			prevText = ""
+			conds = append(conds, pos)
+			for _, b := range c.Cond.Branches {
+				weight += preprocessor.CountTokens(b.Segs)
+			}
+			d, ok := scanCond(space, c.Cond, m, space.True(), pos, &events)
+			if !ok {
+				break
+			}
+			m.brace += d.brace
+			m.paren += d.paren
+			m.bracket += d.bracket
+			continue
+		}
+		for off := range c.Run {
+			pos++
+			tk := &c.Run[off]
 			// A top-level "{" opens a function body exactly when it follows
 			// ")" (parameter list or trailing attribute); otherwise it is an
 			// initializer or a struct/union/enum body, whose closing "}" sits
@@ -239,27 +260,21 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 			}
 			weight++
 			for _, n := range m.tok(tk) {
-				events = append(events, typedefEvent{seg: i, name: n, c: space.True()})
+				events = append(events, typedefEvent{pos: pos, name: n, c: space.True()})
 			}
-			if !m.active && m.balanced() && i < len(segs)-1 &&
-				(tk.Is(";") || (tk.Is("}") && funcBody)) {
-				cuts = append(cuts, cutPoint{after: i, weight: weight})
+			if !m.active && m.balanced() && (tk.Is(";") || (tk.Is("}") && funcBody)) {
+				next := chunkPos{ci, off + 1}
+				if off+1 == len(c.Run) {
+					next = chunkPos{ci + 1, 0}
+				}
+				cuts = append(cuts, cutPoint{after: pos, weight: weight, next: next})
 			}
 			prevText = tk.Text
-			continue
 		}
-		// A conditional between ")" and "{" hides the function-body signal;
-		// resetting the lookbehind merely forfeits that cut.
-		prevText = ""
-		condAt[i] = true
-		weight += preprocessor.CountTokens(segs[i : i+1])
-		d, ok := scanCond(space, sg, m, space.True(), i, &events)
-		if !ok {
-			break
-		}
-		m.brace += d.brace
-		m.paren += d.paren
-		m.bracket += d.bracket
+	}
+	// A cut after the last position would leave an empty final region.
+	if n := len(cuts); n > 0 && cuts[n-1].next.ci == len(chunks) {
+		cuts = cuts[:n-1]
 	}
 	if len(cuts) == 0 {
 		return nil, false
@@ -269,23 +284,13 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 	// declaration before its first top-level conditional; otherwise the
 	// region's first branch merge happens at a different stack depth than
 	// in the sequential parse and the stitched choice shapes diverge.
-	firstCondAfter := make([]int, len(segs)+1)
-	firstCondAfter[len(segs)] = len(segs)
-	for i := len(segs) - 1; i >= 0; i-- {
-		if condAt[i] {
-			firstCondAfter[i] = i
-		} else {
-			firstCondAfter[i] = firstCondAfter[i+1]
-		}
-	}
 	valid := make([]cutPoint, 0, len(cuts))
+	nc := 0 // first conditional after the cut
 	for k, c := range cuts {
-		nextCond := firstCondAfter[c.after+1]
-		nextComp := len(segs)
-		if k+1 < len(cuts) {
-			nextComp = cuts[k+1].after
+		for nc < len(conds) && conds[nc] <= c.after {
+			nc++
 		}
-		if nextCond == len(segs) || nextComp < nextCond {
+		if nc == len(conds) || (k+1 < len(cuts) && cuts[k+1].after < conds[nc]) {
 			valid = append(valid, c)
 		}
 	}
@@ -330,15 +335,15 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 		return nil, false
 	}
 
-	// Materialize regions, attaching to each the typedef seeds accumulated
+	// Slice out the regions, attaching to each the typedef seeds accumulated
 	// from every event at or before its start.
 	regions := make([]region, 0, len(chosen)+1)
 	seeds := map[string]cond.Cond{}
 	ev := 0
-	start := 0
+	start, startPos := chunkPos{}, 0
 	for _, c := range chosen {
-		regions = append(regions, region{segs: segs[start : c.after+1], seed: snapshotSeeds(seeds, start)})
-		for ev < len(events) && events[ev].seg <= c.after {
+		regions = append(regions, region{chunks: sliceChunks(chunks, start, c.next), seed: snapshotSeeds(seeds, startPos)})
+		for ev < len(events) && events[ev].pos <= c.after {
 			e := events[ev]
 			if cur, ok := seeds[e.name]; ok {
 				seeds[e.name] = space.Or(cur, e.c)
@@ -347,46 +352,32 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 			}
 			ev++
 		}
-		start = c.after + 1
+		start, startPos = c.next, c.after+1
 	}
-	regions = append(regions, region{segs: segs[start:], seed: snapshotSeeds(seeds, start)})
+	end := chunkPos{len(chunks), 0}
+	regions = append(regions, region{chunks: sliceChunks(chunks, start, end), seed: snapshotSeeds(seeds, startPos)})
 	return regions, true
 }
 
-// splitChunksAt re-slices the unit's chunk list along the segment
-// boundaries splitRegions chose, attaching to each region the chunk form of
-// exactly its segment slice. A conditional chunk covers one top-level
-// segment and a run of n tokens covers n, so boundaries map exactly; a
-// boundary inside a run sub-slices it (chunks are immutable, and the
-// sub-slices share the run's token storage, so element and segment token
-// pointers stay identical across modes).
-func splitChunksAt(regions []region, chunks []preprocessor.Chunk) {
-	ci, off := 0, 0
-	for k := range regions {
-		want := len(regions[k].segs)
-		out := make([]preprocessor.Chunk, 0, 4)
-		for want > 0 {
-			c := chunks[ci]
-			if c.Cond != nil {
-				out = append(out, c)
-				ci++
-				want--
-				continue
-			}
-			avail := len(c.Run) - off
-			if avail <= want {
-				out = append(out, preprocessor.Chunk{Run: c.Run[off:]})
-				want -= avail
-				ci++
-				off = 0
-				continue
-			}
-			out = append(out, preprocessor.Chunk{Run: c.Run[off : off+want]})
-			off += want
-			want = 0
-		}
-		regions[k].chunks = out
+// sliceChunks returns the chunks from position from up to (excluding)
+// position to, cutting the runs at either end. Chunks are immutable and the
+// sub-runs share the unit's token storage, so element and AST leaf token
+// pointers are the ones the sequential parse would use.
+func sliceChunks(chunks []preprocessor.Chunk, from, to chunkPos) []preprocessor.Chunk {
+	if from.ci == to.ci {
+		return []preprocessor.Chunk{{Run: chunks[from.ci].Run[from.off:to.off]}}
 	}
+	out := make([]preprocessor.Chunk, 0, to.ci-from.ci+1)
+	first := chunks[from.ci]
+	if from.off > 0 {
+		first.Run = first.Run[from.off:]
+	}
+	out = append(out, first)
+	out = append(out, chunks[from.ci+1:to.ci]...)
+	if to.off > 0 {
+		out = append(out, preprocessor.Chunk{Run: chunks[to.ci].Run[:to.off]})
+	}
+	return out
 }
 
 // snapshotSeeds copies the cumulative seed map for one region. The first

@@ -13,9 +13,9 @@ import (
 )
 
 // This file is the stream-fused parse path: the preprocessor hands the
-// engine Chunks (dense True-condition token runs, plus classic Conditionals
-// where hoisting genuinely buffered content) and the engine consumes them
-// without ever building the unit-wide segment slab.
+// engine Chunks (dense True-condition token runs, plus Conditionals where
+// hoisting genuinely buffered content) and the engine consumes them without
+// ever building the unit-wide segment slab.
 //
 // The fused loop has two gears, both only engaged while exactly one
 // subparser is live — which is the overwhelmingly common state between
@@ -32,24 +32,28 @@ import (
 //
 // Whenever variability reappears — a conditional chunk, an ambiguously
 // defined name, EOF — the fast path parks its subparser back in the queue
-// and the classic loop takes over; the forest keeps growing chunk-at-a-time
+// and the queue loop takes over; the forest keeps growing chunk-at-a-time
 // through Engine.after. Every simulated iteration replicates the queue
 // loop's accounting (budget ticks, iteration counts, histogram, observes)
 // exactly, so streaming changes no observable statistic; the differential
-// suite (stream_test.go) holds the two paths to byte equality.
+// suite (stream_test.go) holds it to byte equality with a test-only
+// reference that builds the whole forest up front and runs only the queue
+// loop (reference_test.go).
 
 // BytesPerStreamedToken is the per-token footprint the cursor gear avoids:
-// the materialized Segment and the forest element the classic path builds
-// for every token. Metrics use it to report bytes saved by streaming.
+// the Segment and the forest element a fully materialized token costs.
+// Metrics use it to report bytes saved by streaming.
 const BytesPerStreamedToken = int64(unsafe.Sizeof(element{}) + unsafe.Sizeof(preprocessor.Segment{}))
 
 // streamState is the engine's view of an in-progress chunk stream: the
-// source, the lazily built forest (tail = last top-level element), and the
-// cursor gear's position inside the current run chunk.
+// chunks and the next one to take, the lazily built forest (tail = last
+// top-level element), and the cursor gear's position inside the current
+// run chunk.
 type streamState struct {
-	src  preprocessor.TokenSource
-	fb   forestBuilder
-	file string
+	chunks []preprocessor.Chunk
+	next   int
+	fb     forestBuilder
+	file   string
 
 	tail    *element // last materialized top-level element (nil: no chain)
 	eofDone bool     // synthetic EOF already materialized
@@ -69,12 +73,16 @@ func (st *streamState) take() (preprocessor.Chunk, bool) {
 		st.hasPend = false
 		return st.pend, true
 	}
-	return st.src.Next()
+	if st.next == len(st.chunks) {
+		return preprocessor.Chunk{}, false
+	}
+	st.next++
+	return st.chunks[st.next-1], true
 }
 
 func (st *streamState) peek() (preprocessor.Chunk, bool) {
 	if !st.hasPend {
-		c, ok := st.src.Next()
+		c, ok := st.take()
 		if !ok {
 			return preprocessor.Chunk{}, false
 		}
@@ -171,34 +179,32 @@ func (st *streamState) materializeRunSuffix() *element {
 	return h
 }
 
-// ParseUnit parses a preprocessed unit, streaming its chunks straight into
-// the LR loop when the unit was preprocessed in streaming mode and
-// Options.NoStream is off; otherwise it materializes the classic segment
-// slab and runs Parse. This is the entry point core/harness use.
+// ParseUnit runs the FMLR algorithm (Algorithm 2) over a preprocessed unit,
+// streaming its chunks straight into the LR loop. With Options.ParseWorkers
+// > 1 it first attempts the region-parallel strategy (parallel.go), falling
+// back to the sequential parse whenever the unit does not split cleanly or
+// the equivalence gate fails.
 func (e *Engine) ParseUnit(u *preprocessor.Unit) *Result {
-	if e.opts.NoStream || u.Chunks == nil {
-		return e.Parse(u.EnsureSegments(), u.File)
-	}
 	if e.opts.ParseWorkers > 1 {
-		if res, ok := e.parseParallel(u.EnsureSegments(), u.Chunks, u.File); ok {
+		if res, ok := e.parseParallel(u.Chunks, u.File); ok {
 			return res
 		}
 	}
-	return e.parseStream(preprocessor.NewChunkSource(u.Chunks), u.File)
+	return e.parseStream(u.Chunks, u.File)
 }
 
-// parseStream is the sequential parse over a chunk stream. It boots the
+// parseStream is the sequential parse over a chunk list. It boots the
 // initial subparser directly into the cursor gear when the unit opens with
 // a True-condition run, and otherwise materializes the first chunk and
 // starts the queue loop; the loop and the fast path then trade control as
 // variability comes and goes.
-func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result {
+func (e *Engine) parseStream(chunks []preprocessor.Chunk, file string) *Result {
 	budget := e.opts.Budget
 	faultinject.At(faultinject.PointParse, file, budget)
 	e.acquireScratch()
 	defer e.releaseScratch()
 	e.beginParse()
-	st := &streamState{src: src, file: file}
+	st := &streamState{chunks: chunks, file: file}
 	e.stream = st
 	defer func() {
 		e.stream = nil
@@ -232,10 +238,10 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 
 	// Token accounting: a completed parse has seen every token either
 	// through the cursor or through a materialized element, but a killed,
-	// tripped, or error-stopped parse abandons the stream's remainder. The
-	// classic path counts the whole unit up front (Stats.Tokens), so drain
-	// and count what never arrived; it was never materialized, and charging
-	// it to the materialized side keeps Tokens = Streamed + Materialized.
+	// tripped, or error-stopped parse abandons the stream's remainder.
+	// Stats.Tokens counts the whole unit, so drain and count what never
+	// arrived; it was never materialized, and charging it to the
+	// materialized side keeps Tokens = Streamed + Materialized.
 	rest := len(st.run) - st.runIdx
 	for {
 		c, ok := st.take()

@@ -65,7 +65,8 @@ func TestAnalysisOutputStableAcrossJobs(t *testing.T) {
 func TestOutputStableAcrossParseWorkers(t *testing.T) {
 	c := corpus.Generate(corpus.Params{Seed: 5, CFiles: 8, GenHeaders: 10, BlocksPerFile: 60})
 	render := func(jobs, pw int) string {
-		cfg := RunConfig{Parser: fmlr.OptAll, Analyzers: passes.All(), Jobs: jobs, ParseWorkers: pw}
+		cfg := RunConfig{Parser: fmlr.OptAll, Analyzers: passes.All(), Jobs: jobs}
+		cfg.Parser.ParseWorkers = pw
 		results := Run(c, cfg)
 		return Table3(results) + "\n" + renderAnalysis(results)
 	}
@@ -152,7 +153,7 @@ func TestLinkOutputStableAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range []struct{ jobs, pw int }{{2, 0}, {8, 0}, {1, 4}, {8, 4}} {
 		cfg := base
-		cfg.Jobs, cfg.ParseWorkers = w.jobs, w.pw
+		cfg.Jobs, cfg.Parser.ParseWorkers = w.jobs, w.pw
 		_, mw := RunMetered(context.Background(), c, cfg)
 		if got := renderLink(mw); got != sequential {
 			t.Errorf("link output differs at jobs=%d parse-workers=%d:\n--- base ---\n%s\n--- got ---\n%s",

@@ -30,7 +30,6 @@ func TestFingerprintCoversRunConfig(t *testing.T) {
 	}
 	excluded := map[string]func(*RunConfig){
 		"Jobs":          func(c *RunConfig) { c.Jobs = 3 },
-		"ParseWorkers":  func(c *RunConfig) { c.ParseWorkers = 4 },
 		"HeaderCache":   func(c *RunConfig) { c.HeaderCache = hcache.New(hcache.Options{}) },
 		"NoHeaderCache": func(c *RunConfig) { c.NoHeaderCache = true },
 		"Quarantine":    func(c *RunConfig) { c.Quarantine = true },
@@ -58,10 +57,10 @@ func TestFingerprintCoversRunConfig(t *testing.T) {
 
 	// Parser knobs that leave output identical stay out of the key too.
 	cfg := base
-	cfg.Parser.ParseWorkers, cfg.Parser.NoStream = 4, true
+	cfg.Parser.ParseWorkers = 4
 	cfg.Parser.Budget = guard.New(context.Background(), guard.Limits{})
 	if got := cfg.Fingerprint(); got != want {
-		t.Errorf("parser worker count, streaming or budget changes the fingerprint:\n %s\n %s", want, got)
+		t.Errorf("parser worker count or budget changes the fingerprint:\n %s\n %s", want, got)
 	}
 	// Defines and analyzers are sets: their order is not part of the key.
 	a, b := base, base

@@ -21,18 +21,17 @@ import (
 func FlagRunConfig(fs *flag.FlagSet) func() RunConfig {
 	var cfg RunConfig
 	fs.IntVar(&cfg.Jobs, "j", 0, "worker-pool width: units processed at once (0: GOMAXPROCS)")
-	fs.IntVar(&cfg.ParseWorkers, "parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
+	fs.IntVar(&cfg.Parser.ParseWorkers, "parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	noTableCache := fs.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
 	fs.BoolVar(&cfg.NoHeaderCache, "no-header-cache", false, "disable the shared cross-unit header cache")
 	limits := guard.FlagLimits(fs)
 	return func() RunConfig {
 		cgrammar.DisableTableCache(*noTableCache)
-		out := cfg
-		out.Parser = fmlr.OptAll
-		out.Budget = *limits
-		if out.ParseWorkers <= 0 {
-			out.ParseWorkers = fmlr.AutoWorkers()
+		out := cfg.atLevel(fmlr.OptAll)
+		if out.Parser.ParseWorkers <= 0 {
+			out.Parser.ParseWorkers = fmlr.AutoWorkers()
 		}
+		out.Budget = *limits
 		return out
 	}
 }

@@ -125,20 +125,17 @@ func (cfg RunConfig) headerCache() *hcache.Cache {
 // field here: the CLIs fill one from their flags (FlagRunConfig) and superd
 // from each request, and nothing else reaches the runner.
 type RunConfig struct {
-	Mode    cond.Mode
-	Parser  fmlr.Options      // optimization level and kill switch
+	Mode cond.Mode
+	// Parser is the optimization level, kill switch and intra-unit
+	// parallelism. Parser.ParseWorkers composes with Jobs: each of the Jobs
+	// units in flight may fan out up to ParseWorkers region parses, with
+	// output byte-identical at any count.
+	Parser  fmlr.Options
 	Single  bool              // single-configuration (gcc-like) mode
 	Defines map[string]string // -D style macro definitions
 	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
 	// sequential.
 	Jobs int
-	// ParseWorkers bounds intra-unit parallelism: with more than one worker
-	// the parser splits each unit at top-level declaration boundaries and
-	// parses the regions concurrently, with output proven byte-identical to
-	// the sequential parse. 0 and 1 parse sequentially. It composes with
-	// Jobs: each of the Jobs units in flight may fan out up to ParseWorkers
-	// region parses.
-	ParseWorkers int
 	// IncludePaths are the directories searched for #include files. Run and
 	// RunMetered default them to the corpus's IncludePaths.
 	IncludePaths []string
@@ -169,13 +166,13 @@ type RunConfig struct {
 // Fingerprint keys caches of per-unit results. It renders every field
 // that can change a unit's result: the condition mode, the parser level and
 // kill switch, Single, Defines, IncludePaths, the analyzer names, Link and
-// the Budget limits. Jobs, ParseWorkers, HeaderCache and NoHeaderCache
-// leave results identical, and Quarantine only retries units that failed,
-// so they are left out. Callers add what the config does not name, such as
-// the inputs and their own format version.
+// the Budget limits. Jobs, Parser.ParseWorkers, HeaderCache and
+// NoHeaderCache leave results identical, and Quarantine only retries units
+// that failed, so they are left out. Callers add what the config does not
+// name, such as the inputs and their own format version.
 func (cfg RunConfig) Fingerprint() string {
 	parser := cfg.Parser
-	parser.Budget, parser.ParseWorkers, parser.NoStream = nil, 0, false
+	parser.Budget, parser.ParseWorkers = nil, 0
 	defs := make([]string, 0, len(cfg.Defines))
 	for k, v := range cfg.Defines {
 		defs = append(defs, k+"="+v)
@@ -188,16 +185,6 @@ func (cfg RunConfig) Fingerprint() string {
 	sort.Strings(passes)
 	return fmt.Sprintf("mode=%d;parser=%+v;single=%t;defs=%q;inc=%q;passes=%q;link=%t;limits=%+v",
 		cfg.Mode, parser, cfg.Single, defs, cfg.IncludePaths, passes, cfg.Link, cfg.Budget)
-}
-
-// parser resolves the parser options: cfg.ParseWorkers applies unless the
-// options set their own.
-func (cfg RunConfig) parser() fmlr.Options {
-	p := cfg.Parser
-	if p.ParseWorkers == 0 {
-		p.ParseWorkers = cfg.ParseWorkers
-	}
-	return p
 }
 
 // jobs resolves the effective worker count for n units.
@@ -304,8 +291,8 @@ type Metrics struct {
 
 	// Stream-fused token pipeline flow, summed over units. Streamed tokens
 	// went through the parser's chunk-cursor fast path without ever being
-	// materialized as forest elements; materialized tokens took the classic
-	// element path (conditional regions, fallbacks, or streaming disabled).
+	// materialized as forest elements; materialized tokens took the forest
+	// element path (conditional regions and fallbacks).
 	TokensStreamed     int64
 	TokensMaterialized int64
 	StreamFallbacks    int64 // fast-path bail-outs to the materialized path
@@ -563,7 +550,6 @@ type UnitCache interface {
 // cancelled, units not yet started are recorded as failed with Err
 // "run cancelled" and the call returns after in-flight units finish.
 func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metrics) {
-	parser := cfg.parser()
 	jobs := cfg.jobs(len(in.Files))
 	out := make([]UnitResult, len(in.Files))
 	var inFlight stats.HighWater
@@ -598,9 +584,9 @@ func RunUnits(ctx context.Context, in Units, cfg RunConfig) ([]UnitResult, Metri
 					}
 				}
 				inFlight.Enter()
-				r := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
+				r := runUnitSafe(ctx, in.FS, cfg, hc, file)
 				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
-					retry := runUnitSafe(ctx, in.FS, cfg, parser, hc, file)
+					retry := runUnitSafe(ctx, in.FS, cfg, hc, file)
 					retry.Retried = true
 					if retry.unhealthy() {
 						retry.Quarantined = true
@@ -702,7 +688,7 @@ func (r *UnitResult) unhealthy() bool {
 // panic, grammar bug, injected fault) is recorded as that unit's failure —
 // with the unit path and goroutine stack — instead of crashing the whole
 // run.
-func runUnitSafe(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) (res UnitResult) {
+func runUnitSafe(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, hc *hcache.Cache, cf string) (res UnitResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = UnitResult{
@@ -713,10 +699,10 @@ func runUnitSafe(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig,
 			}
 		}
 	}()
-	return runUnit(ctx, fs, cfg, parser, hc, cf)
+	return runUnit(ctx, fs, cfg, hc, cf)
 }
 
-func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) UnitResult {
+func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, hc *hcache.Cache, cf string) UnitResult {
 	if testHookUnitStart != nil {
 		testHookUnitStart(cf)
 	}
@@ -725,6 +711,7 @@ func runUnit(ctx context.Context, fs preprocessor.FileSystem, cfg RunConfig, par
 	// cancelling the run abandons in-flight units, not just queued ones.
 	budget := guard.New(ctx, cfg.Budget)
 	faultinject.At(faultinject.PointHarnessUnit, cf, budget)
+	parser := cfg.Parser
 	parser.Budget = budget
 	// Each unit gets a fresh tool so that condition-space growth (BDD node
 	// tables, SAT statistics) is attributed per unit, as in the paper's
@@ -798,8 +785,7 @@ func ResultOf(file string, space *cond.Space, unit *preprocessor.Unit, parse *fm
 // one live condition space across several units (superc's AST, projection,
 // rename and check modes); it attaches no budget.
 func NewTool(cfg RunConfig) *core.Tool {
-	parser := cfg.parser()
-	return core.New(cfg.coreConfig(nil, &parser, cfg.headerCache(), nil))
+	return core.New(cfg.coreConfig(nil, &cfg.Parser, cfg.headerCache(), nil))
 }
 
 func (cfg RunConfig) coreConfig(fs preprocessor.FileSystem, parser *fmlr.Options, hc *hcache.Cache, budget *guard.Budget) core.Config {
@@ -964,7 +950,7 @@ func Figure8(c *corpus.Corpus, base RunConfig, killSwitch int) []Figure8Row {
 // levelSample runs base at one optimization level and pools the subparser
 // counts of every iteration of every unit that stayed under the kill switch.
 func levelSample(c *corpus.Corpus, base RunConfig, lv Level, killSwitch int) (agg *stats.Sample, killed, total int) {
-	base.Parser = lv.Opts
+	base = base.atLevel(lv.Opts)
 	base.Parser.KillSwitch = killSwitch
 	results := Run(c, base)
 	agg = &stats.Sample{}
@@ -1043,8 +1029,16 @@ func Figure9(c *corpus.Corpus, base RunConfig) Figure9Result {
 
 // arm is base with the given condition representation and parser level.
 func arm(base RunConfig, mode cond.Mode, parser fmlr.Options) RunConfig {
-	base.Mode, base.Parser = mode, parser
+	base = base.atLevel(parser)
+	base.Mode = mode
 	return base
+}
+
+// atLevel is cfg at parser level o, keeping cfg's intra-unit parse workers.
+func (cfg RunConfig) atLevel(o fmlr.Options) RunConfig {
+	o.ParseWorkers = cfg.Parser.ParseWorkers
+	cfg.Parser = o
+	return cfg
 }
 
 // RenderFigure9 prints the latency comparison in the paper's style.
@@ -1092,7 +1086,8 @@ func Figure10(c *corpus.Corpus, base RunConfig) string {
 // comparison: one branch per conditional, concrete macro table) as an arm
 // of base.
 func GccBaseline(c *corpus.Corpus, base RunConfig, defines map[string]string) (*stats.Sample, []UnitResult) {
-	base.Parser, base.Single, base.Defines = fmlr.OptAll, true, defines
+	base = base.atLevel(fmlr.OptAll)
+	base.Single, base.Defines = true, defines
 	results := Run(c, base)
 	s := &stats.Sample{}
 	for i := range results {

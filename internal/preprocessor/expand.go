@@ -516,7 +516,7 @@ func (p *Preprocessor) assembleInvocation(st *invState, in []Segment, consumed i
 
 	content := func(middle []Segment, bc cond.Cond) []Segment {
 		var segs []Segment
-		segs = append(segs, TokensOf(st.prefix)...)
+		segs = appendTokenSegs(segs, st.prefix)
 		segs = append(segs, middle...)
 		segs = append(segs, tail()...)
 		return p.expandSegments(segs, bc, depth+1)
@@ -529,7 +529,7 @@ func (p *Preprocessor) assembleInvocation(st *invState, in []Segment, consumed i
 		if st.name != nil {
 			middle = append(middle, TokSeg(hideSelf(*st.name)))
 		}
-		middle = append(middle, TokensOf(st.toks)...)
+		middle = appendTokenSegs(middle, st.toks)
 		return []Branch{{Cond: st.cond, Segs: content(middle, st.cond)}}
 	}
 
@@ -542,17 +542,17 @@ func (p *Preprocessor) assembleInvocation(st *invState, in []Segment, consumed i
 		switch {
 		case ad.Def == nil:
 			middle = append(middle, TokSeg(hideSelf(*st.name)))
-			middle = append(middle, TokensOf(st.toks)...)
+			middle = appendTokenSegs(middle, st.toks)
 		case !ad.Def.FuncLike:
 			// Object-like alternative: the name expands, the argument list
 			// stays in place (paper Fig. 4c).
-			middle = append(middle, TokensOf(p.objectBody(ad.Def, *st.name))...)
-			middle = append(middle, TokensOf(st.toks)...)
+			middle = appendTokenSegs(middle, p.objectBody(ad.Def, *st.name))
+			middle = appendTokenSegs(middle, st.toks)
 		default:
 			args, ok := p.parseArgs(st.toks, *st.name, ad.Def)
 			if !ok {
 				middle = append(middle, TokSeg(hideSelf(*st.name)))
-				middle = append(middle, TokensOf(st.toks)...)
+				middle = appendTokenSegs(middle, st.toks)
 				break
 			}
 			p.stats.Invocations++
@@ -566,7 +566,7 @@ func (p *Preprocessor) assembleInvocation(st *invState, in []Segment, consumed i
 	if !p.space.IsFalse(free) {
 		var middle []Segment
 		middle = append(middle, TokSeg(hideSelf(*st.name)))
-		middle = append(middle, TokensOf(st.toks)...)
+		middle = appendTokenSegs(middle, st.toks)
 		branches = append(branches, Branch{Cond: free, Segs: content(middle, free)})
 	}
 	return branches

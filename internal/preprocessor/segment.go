@@ -9,7 +9,8 @@
 //
 // The output is a token forest: a sequence of segments, each either an
 // ordinary token or a static conditional whose branches are themselves
-// segment sequences. The FMLR parser consumes this forest directly.
+// segment sequences. A unit's top level is packed into chunks (stream.go),
+// which the FMLR parser consumes directly.
 package preprocessor
 
 import (
@@ -55,11 +56,16 @@ func (s Segment) IsToken() bool { return s.Tok != nil }
 
 // TokensOf converts a plain token slice to segments.
 func TokensOf(toks []token.Token) []Segment {
-	segs := make([]Segment, len(toks))
+	return appendTokenSegs(make([]Segment, 0, len(toks)), toks)
+}
+
+// appendTokenSegs appends one segment per token to dst, each pointing at
+// the token in toks (no token copies).
+func appendTokenSegs(dst []Segment, toks []token.Token) []Segment {
 	for i := range toks {
-		segs[i] = Segment{Tok: &toks[i]}
+		dst = append(dst, Segment{Tok: &toks[i]})
 	}
-	return segs
+	return dst
 }
 
 // CountTokens returns the total number of ordinary tokens in the forest,

@@ -2,58 +2,26 @@ package preprocessor
 
 import "repro/internal/token"
 
-// This file is the streaming half of the preprocessor's output interface.
-// The classic path materializes every compilation unit as a []Segment slab —
-// one two-word Segment per token — before the parser sees any of it. The
-// streaming path instead packs the unit's top level into Chunks: dense
-// token runs wherever the presence condition is True, and materialized
-// Conditionals only where hoisting genuinely buffered content. The FMLR
-// engine pulls chunks one at a time (TokenSource) and can walk a run's
-// tokens in place, so True-condition tokens never pay for a Segment or a
-// token-forest element.
+// This file is the preprocessor's output form. A unit's top level is packed
+// into Chunks: dense token runs wherever the presence condition is True,
+// and materialized Conditionals only where hoisting genuinely buffered
+// content. The FMLR engine walks the chunk list in order and can consume a
+// run's tokens in place, so True-condition tokens never pay for a Segment
+// or a token-forest element.
 //
-// Chunks are immutable after creation and therefore freely replayable: a
-// ChunkSource is just a cursor, and converting back to the classic segment
-// form (SegmentsOf) points the segments into the runs without copying
-// tokens. Cached lexed header streams interoperate unchanged — the header
-// cache operates on files and segments below the unit's top level, and the
-// chunk writer only packs at the root.
+// Chunks are immutable after creation and therefore freely replayable, and
+// converting to the segment forest (EnsureSegments) points the segments
+// into the runs without copying tokens. Cached lexed header streams
+// interoperate unchanged — the header cache operates on files and segments
+// below the unit's top level, and the chunk writer only packs at the root.
 
-// Chunk is one streaming unit of preprocessor output: exactly one of Run
-// and Cond is set. A Run is a dense slice of ordinary tokens whose presence
-// condition is the enclosing (True) context; a Cond is a static conditional
-// materialized in classic segment form.
+// Chunk is one piece of a unit's top level: exactly one of Run and Cond is
+// set. A Run is a dense slice of ordinary tokens whose presence condition is
+// the enclosing (True) context; a Cond is a static conditional materialized
+// in segment form.
 type Chunk struct {
 	Run  []token.Token
 	Cond *Conditional
-}
-
-// TokenSource is the pull interface between the preprocessor and the FMLR
-// engine: Next returns the next chunk of the unit, in document order, until
-// the stream is exhausted.
-type TokenSource interface {
-	Next() (Chunk, bool)
-}
-
-// ChunkSource replays an immutable chunk slice as a TokenSource.
-type ChunkSource struct {
-	chunks []Chunk
-	i      int
-}
-
-// NewChunkSource returns a source replaying chunks from the start.
-func NewChunkSource(chunks []Chunk) *ChunkSource {
-	return &ChunkSource{chunks: chunks}
-}
-
-// Next implements TokenSource.
-func (s *ChunkSource) Next() (Chunk, bool) {
-	if s.i >= len(s.chunks) {
-		return Chunk{}, false
-	}
-	c := s.chunks[s.i]
-	s.i++
-	return c, true
 }
 
 // maxRunChunk caps a run chunk's length so the engine's per-chunk
@@ -63,9 +31,9 @@ const maxRunChunk = 512
 
 // chunkWriter packs root-level segments into chunks as the directive
 // machine emits them. Tokens are copied by value into the current run (the
-// run is the token's storage in streaming mode); conditionals flush the run
-// and pass through as-is. A flushed run is never appended to again, so
-// pointers into it stay valid.
+// run is the token's storage); conditionals flush the run and pass through
+// as-is. A flushed run is never appended to again, so pointers into it stay
+// valid.
 type chunkWriter struct {
 	chunks  []Chunk
 	cur     []token.Token
@@ -99,29 +67,16 @@ func (w *chunkWriter) flushRun() {
 	w.cur = nil
 }
 
-// finish flushes the open run and returns the chunk list, non-nil even for
-// an empty unit so callers can distinguish "streamed" from "not streamed".
+// finish flushes the open run and returns the chunk list.
 func (w *chunkWriter) finish() []Chunk {
 	w.flushRun()
-	if w.chunks == nil {
-		w.chunks = []Chunk{}
-	}
 	return w.chunks
 }
 
-// ChunksOf converts a segment forest into chunk form, packing top-level
-// token segments into dense runs.
-func ChunksOf(segs []Segment) []Chunk {
-	var w chunkWriter
-	w.add(segs...)
-	return w.finish()
-}
-
-// SegmentsOf converts chunks back into the classic segment slab. Token
-// segments point into the chunk runs (no token copies), so the result is
-// valid as long as the chunks are — which is always, since chunks are
-// immutable.
-func SegmentsOf(chunks []Chunk) []Segment {
+// segmentsOf converts chunks into the segment forest. Token segments point
+// into the chunk runs (no token copies), so the result is valid as long as
+// the chunks are — which is always, since chunks are immutable.
+func segmentsOf(chunks []Chunk) []Segment {
 	n := 0
 	for _, c := range chunks {
 		if c.Cond != nil {
@@ -136,30 +91,9 @@ func SegmentsOf(chunks []Chunk) []Segment {
 			segs = append(segs, Segment{Cond: c.Cond})
 			continue
 		}
-		run := c.Run
-		for i := range run {
-			segs = append(segs, Segment{Tok: &run[i]})
-		}
+		segs = appendTokenSegs(segs, c.Run)
 	}
 	return segs
-}
-
-// Drain pulls a source to exhaustion.
-func Drain(src TokenSource) []Chunk {
-	var out []Chunk
-	for {
-		c, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, c)
-	}
-}
-
-// DrainSegments pulls a source to exhaustion and returns the classic
-// segment form.
-func DrainSegments(src TokenSource) []Segment {
-	return SegmentsOf(Drain(src))
 }
 
 // CountChunkTokens counts ordinary tokens across the chunks, conditional
@@ -179,22 +113,12 @@ func CountChunkTokens(chunks []Chunk) int {
 }
 
 // EnsureSegments returns the unit's segment forest, materializing (and
-// caching) it from Chunks when the unit was preprocessed in streaming mode.
-// Consumers that genuinely need random access to segments (the printer,
-// block-coverage analysis, differential tests) call this; the parser itself
-// streams.
+// caching) it from Chunks on first use. Consumers that genuinely need
+// random access to segments (the printer, block-coverage analysis) call
+// this; the parser walks the chunks.
 func (u *Unit) EnsureSegments() []Segment {
-	if u.Segments == nil && u.Chunks != nil {
-		u.Segments = SegmentsOf(u.Chunks)
+	if u.segs == nil && len(u.Chunks) > 0 {
+		u.segs = segmentsOf(u.Chunks)
 	}
-	return u.Segments
-}
-
-// Source returns a TokenSource replaying the unit's preprocessor output,
-// regardless of which mode produced it.
-func (u *Unit) Source() TokenSource {
-	if u.Chunks != nil {
-		return NewChunkSource(u.Chunks)
-	}
-	return NewChunkSource(ChunksOf(u.Segments))
+	return u.segs
 }

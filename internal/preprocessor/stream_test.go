@@ -8,21 +8,41 @@ import (
 	"repro/internal/cond"
 )
 
-// These tests pin the invariants of the streaming chunk layer: what the
-// chunk writer is allowed to emit, that chunk form and classic segment form
-// are lossless conversions of each other, and that a streaming preprocessor
-// run is observationally identical to a classic run of the same source.
+// These tests pin the invariants of the chunk layer: what the chunk writer
+// is allowed to emit, that chunk form and segment form are lossless
+// conversions of each other, and that streaming the root frame into the
+// chunk writer as it flushes is observationally identical to the reference
+// that accumulates the root's segments and packs them at the end.
 
-// ppStream preprocesses main.c in streaming mode.
+// ppStream preprocesses main.c.
 func ppStream(t *testing.T, files map[string]string) (*Unit, *cond.Space) {
 	t.Helper()
+	return ppRoot(t, files, false)
+}
+
+// ppRootSegs preprocesses main.c through the reference root frame.
+func ppRootSegs(t *testing.T, files map[string]string) (*Unit, *cond.Space) {
+	t.Helper()
+	return ppRoot(t, files, true)
+}
+
+func ppRoot(t *testing.T, files map[string]string, rootSegs bool) (*Unit, *cond.Space) {
+	t.Helper()
 	s := cond.NewSpace(cond.ModeBDD)
-	p := New(Options{Space: s, FS: MapFS(files), IncludePaths: []string{"include"}, Stream: true})
+	p := New(Options{Space: s, FS: MapFS(files), IncludePaths: []string{"include"}})
+	p.rootSegs = rootSegs
 	u, err := p.Preprocess("main.c")
 	if err != nil {
-		t.Fatalf("Preprocess(stream): %v", err)
+		t.Fatalf("Preprocess(rootSegs=%v): %v", rootSegs, err)
 	}
 	return u, s
+}
+
+// chunksOf packs a segment forest into chunks the way the root frame does.
+func chunksOf(segs []Segment) []Chunk {
+	var w chunkWriter
+	w.add(segs...)
+	return w.finish()
 }
 
 // checkChunkInvariants asserts the structural rules every chunk list must
@@ -78,62 +98,64 @@ func streamFiles(src string) map[string]string {
 }
 
 // TestStreamChunkInvariants checks the writer's structural rules and that
-// the chunk token count agrees with the classic segment count.
+// the chunk token count agrees with the reference root's.
 func TestStreamChunkInvariants(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			files := streamFiles(src)
 			u, _ := ppStream(t, files)
-			if u.Chunks == nil {
-				t.Fatal("streaming run produced nil Chunks")
-			}
-			if u.Segments != nil {
-				t.Fatal("streaming run materialized Segments eagerly")
+			if u.segs != nil {
+				t.Fatal("preprocessing materialized segments eagerly")
 			}
 			checkChunkInvariants(t, u.Chunks)
-			classic, _, _ := pp(t, files)
-			if got, want := CountChunkTokens(u.Chunks), CountTokens(classic.Segments); got != want {
-				t.Fatalf("chunk token count %d != classic segment count %d", got, want)
+			ref, _ := ppRootSegs(t, files)
+			if got, want := CountChunkTokens(u.Chunks), CountTokens(ref.EnsureSegments()); got != want {
+				t.Fatalf("chunk token count %d != reference segment count %d", got, want)
+			}
+			if u.Stats.Tokens != CountChunkTokens(u.Chunks) {
+				t.Fatalf("Stats.Tokens %d != chunk token count %d", u.Stats.Tokens, CountChunkTokens(u.Chunks))
 			}
 		})
 	}
 }
 
-// TestStreamEquivalentToClassic renders both pipelines' output —
-// conditions, branch structure, token text — and requires byte equality.
+// TestStreamEquivalentToClassic renders the streamed root's output and the
+// reference root's — conditions, branch structure, token text — and
+// requires byte equality.
 func TestStreamEquivalentToClassic(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			files := streamFiles(src)
 			su, ss := ppStream(t, files)
-			cu, cs, _ := pp(t, files)
+			ru, rs := ppRootSegs(t, files)
 			got := FlattenText(ss, su.EnsureSegments())
-			want := FlattenText(cs, cu.Segments)
+			want := FlattenText(rs, ru.EnsureSegments())
 			if got != want {
-				t.Fatalf("streamed output diverges from classic:\nclassic: %s\nstream:  %s", want, got)
+				t.Fatalf("streamed output diverges from the reference root:\nreference: %s\nstream:    %s", want, got)
 			}
 		})
 	}
 }
 
-// TestChunkSegmentRoundTrip converts a classic unit to chunks and back:
+// TestChunkSegmentRoundTrip converts a unit's segments to chunks and back:
 // the round trip must preserve every token value and every conditional
-// pointer, and ChunksOf must obey the writer invariants.
+// pointer, and the packed chunks must obey the writer invariants.
 func TestChunkSegmentRoundTrip(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			u, _, _ := pp(t, streamFiles(src))
-			chunks := ChunksOf(u.Segments)
+			segs := u.EnsureSegments()
+			chunks := chunksOf(segs)
 			checkChunkInvariants(t, chunks)
-			back := SegmentsOf(chunks)
-			if len(back) != len(u.Segments) {
-				t.Fatalf("round trip changed segment count: %d != %d", len(back), len(u.Segments))
+			back := segmentsOf(chunks)
+			if len(back) != len(segs) {
+				t.Fatalf("round trip changed segment count: %d != %d", len(back), len(segs))
 			}
 			for i := range back {
-				a, b := u.Segments[i], back[i]
+				a, b := segs[i], back[i]
 				if a.IsToken() != b.IsToken() {
 					t.Fatalf("segment %d: kind changed in round trip", i)
 				}
@@ -151,42 +173,46 @@ func TestChunkSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkSourceReplay checks that Unit.Source replays the chunk list
-// exactly, in both streaming and classic modes, and that EnsureSegments
-// caches its materialization.
-func TestChunkSourceReplay(t *testing.T) {
-	files := streamFiles(streamSources()["run-cond-run"])
-	su, _ := ppStream(t, files)
-	drained := Drain(su.Source())
-	if len(drained) != len(su.Chunks) {
-		t.Fatalf("Source drained %d chunks, unit has %d", len(drained), len(su.Chunks))
-	}
-	for i := range drained {
-		if drained[i].Cond != su.Chunks[i].Cond || len(drained[i].Run) != len(su.Chunks[i].Run) {
-			t.Fatalf("chunk %d differs after replay", i)
-		}
-	}
+// TestEnsureSegmentsReplaysChunks checks that EnsureSegments replays the
+// chunk list exactly — one segment per run token, pointing into the run,
+// and one per conditional chunk, sharing its pointer — and caches its
+// materialization.
+func TestEnsureSegmentsReplaysChunks(t *testing.T) {
+	su, _ := ppStream(t, streamFiles(streamSources()["run-cond-run"]))
 	segs := su.EnsureSegments()
 	if len(segs) == 0 {
 		t.Fatal("EnsureSegments returned nothing")
 	}
+	i := 0
+	for ci, c := range su.Chunks {
+		if c.Cond != nil {
+			if segs[i].Cond != c.Cond {
+				t.Fatalf("chunk %d: conditional pointer differs after replay", ci)
+			}
+			i++
+			continue
+		}
+		for k := range c.Run {
+			if segs[i].Tok != &c.Run[k] {
+				t.Fatalf("chunk %d token %d: segment does not point into the run", ci, k)
+			}
+			i++
+		}
+	}
+	if i != len(segs) {
+		t.Fatalf("replay produced %d segments, chunks hold %d positions", len(segs), i)
+	}
 	if again := su.EnsureSegments(); &again[0] != &segs[0] {
 		t.Fatal("EnsureSegments did not cache its materialization")
 	}
-
-	// Classic units stream through Source too (packed on the fly).
-	cu, _, _ := pp(t, files)
-	if got, want := CountChunkTokens(Drain(cu.Source())), CountTokens(cu.Segments); got != want {
-		t.Fatalf("classic Source token count %d != %d", got, want)
-	}
 }
 
-// TestEmptyUnitChunks pins the "streamed but empty" representation: a
-// non-nil, zero-length chunk list, distinguishable from a classic run.
+// TestEmptyUnitChunks pins the empty unit's representation: no chunks and
+// no segments.
 func TestEmptyUnitChunks(t *testing.T) {
 	u, _ := ppStream(t, map[string]string{"main.c": ""})
-	if u.Chunks == nil || len(u.Chunks) != 0 {
-		t.Fatalf("empty unit: want non-nil empty Chunks, got %#v", u.Chunks)
+	if len(u.Chunks) != 0 {
+		t.Fatalf("empty unit: want no chunks, got %#v", u.Chunks)
 	}
 	if got := u.EnsureSegments(); len(got) != 0 {
 		t.Fatalf("empty unit materialized %d segments", len(got))
